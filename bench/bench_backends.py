@@ -15,6 +15,8 @@ import random
 import time
 
 from degstab import _purecore
+from degstab.gallery import SEQUENCE, sequence_graph
+from degstab.graphs import Graph, complete, cycle, join, wheel
 
 try:
     from degstab import _fastcore
@@ -30,6 +32,18 @@ def random_adj(rng: random.Random, n: int, p: float) -> list[int]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def mycielskian(base: Graph, k: int) -> Graph:
+    """Generalized Mycielskian M_k(base): layer 0 is the base, (u, i) is
+    joined to (v, i+1) for each base edge uv, and an apex to all of layer k."""
+    n = base.order
+    edges = list(base.edges())
+    for i in range(k):
+        for u, v in base.edges():
+            edges += [(i * n + u, (i + 1) * n + v), (i * n + v, (i + 1) * n + u)]
+    edges += [(k * n + v, (k + 1) * n) for v in range(n)]
+    return Graph.from_edges((k + 1) * n + 1, edges)
 
 
 def cycle_adj(n: int) -> list[int]:
@@ -54,6 +68,20 @@ def workload_hom_search():
         return [mod.hom_search(p, t) for p, t in cases]
 
     return "hom_search (300 searches, 9-vertex patterns)", run
+
+
+def workload_refutations():
+    # The searches classify spends its time on: K_{r+1} -> K_{r-3} v W5
+    # has no homomorphism, and M_1(C_7) maps into some gallery joins but
+    # not others, so most of these are exhaustive refutations.
+    cases = [(complete(r + 1).adj, join(complete(r - 3), wheel(5)).adj) for r in range(3, 8)]
+    m1c7 = mycielskian(cycle(7), 1).adj
+    cases += [(m1c7, sequence_graph(j).adj) for j in range(1, len(SEQUENCE) + 1)]
+
+    def run(mod):
+        return [mod.hom_search(p, t) for p, t in cases]
+
+    return "hom_search (K_r+1 -> K_r-3 v W5, M1(C7) -> gallery)", run
 
 
 def workload_brute_hom():
@@ -103,6 +131,7 @@ def main() -> int:
 
     workloads = [
         workload_hom_search(),
+        workload_refutations(),
         workload_brute_hom(),
         workload_color(),
         workload_edits(),
@@ -112,12 +141,12 @@ def main() -> int:
     if _fastcore is None:
         print("compiled backend not available; timing pure kernels only")
 
-    print(f"{'workload':<44} {'pure':>10} {'compiled':>10} {'speedup':>8}")
+    print(f"{'workload':<52} {'pure':>10} {'compiled':>10} {'speedup':>8}")
     for name, run in workloads:
         pure_best = min(
             _timed(run, _purecore) for _ in range(args.repeat)
         )
-        line = f"{name:<44} {pure_best:>9.3f}s"
+        line = f"{name:<52} {pure_best:>9.3f}s"
         if _fastcore is not None:
             expected = run(_purecore)
             got = run(_fastcore)

@@ -8,14 +8,15 @@ five entry points with identical semantics and identical tie-breaking;
 the test suite compares their outputs bit for bit.
 
 All functions take adjacency as a sequence of integer bitmasks, one per
-vertex (bit ``u`` of ``adj[v]`` is set iff ``uv`` is an edge). They are pure
-and place no upper bound on the order; the compiled twin handles orders up
-to 64.
+vertex (bit ``u`` of ``adj[v]`` is set iff ``uv`` is an edge). The adjacency
+must be symmetric and loop-free, as :class:`degstab.graphs.Graph` guarantees:
+``hom_search`` and ``odd_girth`` work on whole vertex masks and rely on it.
+The functions are pure and place no upper bound on the order; the compiled
+twin handles orders up to 64.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product
 
 __all__ = ["hom_search", "brute_hom", "color_search", "min_edits", "odd_girth"]
@@ -38,33 +39,43 @@ def hom_search(p_adj, t_adj):
         return (), 0
     if n_t == 0:
         return None, 0
+    # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
+    # small length for reuse, and these short-lived ones would fill that.
+    p_nbrs = [list(_bits(m)) for m in p_adj]
+    # Target neighbourhood of each domain mask seen in this search.
+    union = {}
     dom = [(1 << n_t) - 1] * n_p
-    if not _propagate(dom, p_adj, t_adj, (1 << n_p) - 1):
+    if not _propagate(dom, p_nbrs, t_adj, union, (1 << n_p) - 1):
         return None, 0
     nodes = [0]
-    mapping = _assign(dom, p_adj, t_adj, 0, nodes)
+    mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes)
     return mapping, nodes[0]
 
 
-def _propagate(dom, p_adj, t_adj, dirty):
-    # Worklist of pattern vertices whose domain changed; revising u against
-    # v keeps only u-values with a neighbour inside dom[v].
+def _bits(mask):
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
+def _propagate(dom, p_nbrs, t_adj, union, dirty):
+    # Worklist of pattern vertices whose domain changed. The u-values with a
+    # neighbour inside dom[v] are, as the target is symmetric, exactly
+    # dom[u] & N(dom[v]), with N(D) the union of t_adj[w] over w in D.
     while dirty:
         v = (dirty & -dirty).bit_length() - 1
         dirty &= dirty - 1
         dv = dom[v]
-        nbrs = p_adj[v]
-        while nbrs:
-            u = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
+        nv = union.get(dv)
+        if nv is None:
+            nv = 0
+            for w in _bits(dv):
+                nv |= t_adj[w]
+            union[dv] = nv
+        for u in p_nbrs[v]:
             du = dom[u]
-            nd = 0
-            rest = du
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if t_adj[bit.bit_length() - 1] & dv:
-                    nd |= bit
+            nd = du & nv
             if nd != du:
                 if not nd:
                     return False
@@ -73,7 +84,7 @@ def _propagate(dom, p_adj, t_adj, dirty):
     return True
 
 
-def _assign(dom, p_adj, t_adj, assigned, nodes):
+def _assign(dom, p_nbrs, t_adj, union, assigned, nodes):
     n_p = len(dom)
     all_mask = (1 << n_p) - 1
     if assigned == all_mask:
@@ -96,8 +107,8 @@ def _assign(dom, p_adj, t_adj, assigned, nodes):
         nodes[0] += 1
         saved = dom[:]
         dom[v] = bit
-        if _propagate(dom, p_adj, t_adj, 1 << v):
-            result = _assign(dom, p_adj, t_adj, assigned | (1 << v), nodes)
+        if _propagate(dom, p_nbrs, t_adj, union, 1 << v):
+            result = _assign(dom, p_nbrs, t_adj, union, assigned | (1 << v), nodes)
             if result is not None:
                 return result
         dom[:] = saved
@@ -233,27 +244,28 @@ def odd_girth(adj):
 
     BFS on the parity double cover from every start vertex: the shortest
     odd closed walk through any vertex is attained by an odd cycle, and
-    every odd cycle is such a walk.
+    every odd cycle is such a walk. Every edge flips parity, so the states
+    at depth d all have parity d mod 2 and each BFS layer is one vertex
+    mask; this needs symmetric, loop-free adjacency. A start stops at the
+    first odd layer that reaches it again, or at the first layer too deep
+    to beat the best cycle found so far.
     """
-    n = len(adj)
     best = 0
-    for s in range(n):
-        dist = [-1] * (2 * n)
-        dist[2 * s] = 0
-        q = deque([2 * s])
-        while q:
-            state = q.popleft()
-            v, p = state >> 1, state & 1
-            d = dist[state]
-            m = adj[v]
-            while m:
-                b = m & -m
-                m ^= b
-                nxt = ((b.bit_length() - 1) << 1) | (p ^ 1)
-                if dist[nxt] < 0:
-                    dist[nxt] = d + 1
-                    q.append(nxt)
-        cand = dist[2 * s + 1]
-        if cand > 0 and (best == 0 or cand < best):
-            best = cand
+    for s in range(len(adj)):
+        if best == 3:  # no odd cycle is shorter
+            break
+        start = 1 << s
+        seen = [start, 0]
+        layer = start
+        d = 1
+        while layer and (best == 0 or d < best):
+            reach = 0
+            for w in _bits(layer):
+                reach |= adj[w]
+            if d & 1 and reach & start:
+                best = d
+                break
+            layer = reach & ~seen[d & 1]
+            seen[d & 1] |= layer
+            d += 1
     return best

@@ -40,9 +40,8 @@ class Graph:
         adj = tuple(self.adj)
         if len(adj) != self.order:
             raise InvalidParameterError("adjacency length must equal order")
-        full = (1 << self.order) - 1
         for v, mask in enumerate(adj):
-            if mask < 0 or mask & ~full:
+            if mask < 0 or mask >> self.order:
                 raise InvalidParameterError(f"vertex {v} has a neighbour out of range")
             if (mask >> v) & 1:
                 raise InvalidParameterError(f"vertex {v} has a self-loop")

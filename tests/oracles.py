@@ -3,12 +3,19 @@
 Everything here enumerates the full search space through the public Graph
 API only, sharing no machinery with the package's solvers. Keep these slow
 and obviously correct.
+
+The exception is the pair of reference kernels at the end,
+``reference_hom_search`` and ``reference_odd_girth``. They are the plain
+per-bit and per-state formulations of the bitset kernels in
+``degstab._purecore`` and must return exactly what those return, search
+node counts and witnesses included.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from degstab import Graph
 
@@ -101,3 +108,129 @@ def random_graph(rng: random.Random, order: int, p: float) -> Graph:
             if rng.random() < p:
                 edges.append((i, j))
     return Graph.from_edges(order, edges)
+
+
+def mycielskian(base: Graph, k: int) -> Graph:
+    """Generalized Mycielskian M_k(base), labelled layer by layer.
+
+    Layer i occupies vertices i*n..i*n+n-1; layer 0 is a copy of the base,
+    (u, i) is joined to (v, i+1) for every base edge uv, and a final apex
+    is joined to the whole of layer k.
+    """
+    n = base.order
+    edges = list(base.edges())
+    for i in range(k):
+        for u, v in base.edges():
+            edges += [(i * n + u, (i + 1) * n + v), (i * n + v, (i + 1) * n + u)]
+    apex = (k + 1) * n
+    edges += [(k * n + v, apex) for v in range(n)]
+    return Graph.from_edges(apex + 1, edges)
+
+
+def reference_hom_search(p_adj, t_adj):
+    """``hom_search`` with arc revision done one target value at a time.
+
+    Same contract, variable order and value order as the kernel: smallest
+    live domain first (lowest index on ties), values ascending, and
+    arc-consistency propagation after every assignment.
+    """
+    n_p = len(p_adj)
+    n_t = len(t_adj)
+    if n_p == 0:
+        return (), 0
+    if n_t == 0:
+        return None, 0
+    dom = [(1 << n_t) - 1] * n_p
+    if not _reference_propagate(dom, p_adj, t_adj, (1 << n_p) - 1):
+        return None, 0
+    nodes = [0]
+    mapping = _reference_assign(dom, p_adj, t_adj, 0, nodes)
+    return mapping, nodes[0]
+
+
+def _reference_propagate(dom, p_adj, t_adj, dirty):
+    # Worklist of pattern vertices whose domain changed; revising u against
+    # v keeps only u-values with a neighbour inside dom[v].
+    while dirty:
+        v = (dirty & -dirty).bit_length() - 1
+        dirty &= dirty - 1
+        dv = dom[v]
+        nbrs = p_adj[v]
+        while nbrs:
+            u = (nbrs & -nbrs).bit_length() - 1
+            nbrs &= nbrs - 1
+            du = dom[u]
+            nd = 0
+            rest = du
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if t_adj[bit.bit_length() - 1] & dv:
+                    nd |= bit
+            if nd != du:
+                if not nd:
+                    return False
+                dom[u] = nd
+                dirty |= 1 << u
+    return True
+
+
+def _reference_assign(dom, p_adj, t_adj, assigned, nodes):
+    n_p = len(dom)
+    all_mask = (1 << n_p) - 1
+    if assigned == all_mask:
+        return tuple((d & -d).bit_length() - 1 for d in dom)
+    best_v = -1
+    best_size = 1 << 62
+    rest = all_mask & ~assigned
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        size = dom[v].bit_count()
+        if size < best_size:
+            best_size = size
+            best_v = v
+    v = best_v
+    vals = dom[v]
+    while vals:
+        bit = vals & -vals
+        vals ^= bit
+        nodes[0] += 1
+        saved = dom[:]
+        dom[v] = bit
+        if _reference_propagate(dom, p_adj, t_adj, 1 << v):
+            result = _reference_assign(dom, p_adj, t_adj, assigned | (1 << v), nodes)
+            if result is not None:
+                return result
+        dom[:] = saved
+    return None
+
+
+def reference_odd_girth(adj):
+    """``odd_girth`` as a per-state BFS on the parity double cover.
+
+    The shortest odd closed walk through any vertex is attained by an odd
+    cycle, and every odd cycle is such a walk. Returns 0 when there is none.
+    """
+    n = len(adj)
+    best = 0
+    for s in range(n):
+        dist = [-1] * (2 * n)
+        dist[2 * s] = 0
+        q = deque([2 * s])
+        while q:
+            state = q.popleft()
+            v, p = state >> 1, state & 1
+            d = dist[state]
+            m = adj[v]
+            while m:
+                b = m & -m
+                m ^= b
+                nxt = ((b.bit_length() - 1) << 1) | (p ^ 1)
+                if dist[nxt] < 0:
+                    dist[nxt] = d + 1
+                    q.append(nxt)
+        cand = dist[2 * s + 1]
+        if cand > 0 and (best == 0 or cand < best):
+            best = cand
+    return best

@@ -55,7 +55,22 @@ class TestGraphValue:
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(2, [(0, 2)])
         with pytest.raises(InvalidParameterError):
+            Graph(1, (-1,))  # negative mask
+        with pytest.raises(InvalidParameterError):
             Graph.from_edges(2, [(1, 1)])
+
+    @pytest.mark.parametrize("order", [1, 64, 65])
+    def test_out_of_range_bit_rejected(self, order):
+        for bit in (order, order + 1, 2 * order + 7):
+            adj = (1 << bit,) + (0,) * (order - 1)
+            with pytest.raises(InvalidParameterError, match="out of range"):
+                Graph(order, adj)
+        # The highest in-range bit is accepted when mirrored.
+        top = order - 1
+        if top > 0:
+            adj = [0] * order
+            adj[0], adj[top] = 1 << top, 1
+            assert Graph(order, tuple(adj)).has_edge(0, top)
 
     def test_induced(self):
         g = cycle(5)
