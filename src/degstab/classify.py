@@ -41,6 +41,7 @@ __all__ = [
     "degree_threshold",
     "cycle_join_threshold",
     "interval_upper",
+    "scan_target",
     "CertificateEntry",
     "ScanResult",
     "DeltaResult",
@@ -99,6 +100,20 @@ def interval_upper(r: int) -> Fraction:
     return 1 - 1 / (r - 1 + Fraction(1, 7))
 
 
+def scan_target(kind: str, index: int, r: int) -> Graph:
+    """The index-th target of a scan: the (2g+1)-cycle for "odd-cycle",
+    a clique on r - 3 vertices joined to gallery member j for
+    "gallery-join", and a clique on r - 2 vertices joined to the
+    (2g+1)-cycle for "cycle-join"."""
+    if kind == "odd-cycle":
+        return cycle(2 * index + 1)
+    if kind == "gallery-join":
+        return join(complete(r - 3), sequence_graph(index))
+    if kind == "cycle-join":
+        return join(complete(r - 2), cycle(2 * index + 1))
+    raise InvalidParameterError(f"unknown scan kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class CertificateEntry:
     """One passing homomorphism from a scan, with enough data to rebuild
@@ -109,13 +124,7 @@ class CertificateEntry:
     witness: HomWitness
 
     def target(self, r: int) -> Graph:
-        if self.kind == "odd-cycle":
-            return cycle(2 * self.index + 1)
-        if self.kind == "gallery-join":
-            return join(complete(r - 3), sequence_graph(self.index))
-        if self.kind == "cycle-join":
-            return join(complete(r - 2), cycle(2 * self.index + 1))
-        raise InvalidParameterError(f"unknown certificate kind {self.kind!r}")
+        return scan_target(self.kind, self.index, r)
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,60 @@ class ScanResult:
     nodes_expanded: int
 
 
+# The kind of scan whose failure decides each branch. An interval result
+# first passes all twelve gallery joins.
+_FAILING_KIND = {"odd-cycle": "odd-cycle", "gallery": "gallery-join", "interval": "cycle-join"}
+
+
+def _last_index(h: Graph, kind: str) -> int:
+    """The last index a scan of h may reach. The odd-cycle and cycle-join
+    scans must fail by then; the gallery scan may pass all twelve."""
+    if kind == "odd-cycle":
+        return (odd_girth(h) + 1) // 2
+    if kind == "gallery-join":
+        return len(SEQUENCE)
+    return (h.order + 1) // 2
+
+
+def _scan(h: Graph, kind: str, r: int, last: int) -> ScanResult:
+    """Search h -> scan_target(kind, i, r) for i = 1..last, stopping at the
+    first failure. Only the gallery scan may pass every step; the others
+    raise AssertionError if they do."""
+    entries = []
+    nodes = 0
+    for i in range(1, last + 1):
+        witness, n = homomorphism_search(h, scan_target(kind, i, r))
+        nodes += n
+        if witness is None:
+            return ScanResult(i, tuple(entries), nodes)
+        entries.append(CertificateEntry(kind, i, witness))
+    if kind != "gallery-join":
+        raise AssertionError(f"{kind} scan ran past its bound {last}")
+    return ScanResult(None, tuple(entries), nodes)
+
+
+def _passing_steps(branch: str, index: int) -> list[tuple[str, int]]:
+    """(kind, index) of every scan step that passes before a failure at
+    index on branch, in scan order."""
+    steps = []
+    if branch == "interval":
+        steps = [("gallery-join", j) for j in range(1, len(SEQUENCE) + 1)]
+    return steps + [(_FAILING_KIND[branch], i) for i in range(1, index)]
+
+
+def _threshold(branch: str, r: int, index: int):
+    """(value, lower, upper) for a failure at index on branch."""
+    if branch == "odd-cycle":
+        if r != 2:
+            raise InvalidParameterError("the odd-cycle branch needs r = 2")
+        return Fraction(2, 2 * index + 1), None, None
+    if branch == "gallery":
+        return degree_threshold(r, index - 1), None, None
+    if branch == "interval":
+        return None, cycle_join_threshold(r, index), interval_upper(r)
+    raise InvalidParameterError(f"unknown branch {branch!r}")
+
+
 def scan_odd_cycles(h: Graph) -> ScanResult:
     """Least g >= 1 with no homomorphism h -> C(2g+1). Needs chi(h) = 3.
 
@@ -137,20 +200,7 @@ def scan_odd_cycles(h: Graph) -> ScanResult:
     """
     if chromatic_number(h) != 3:
         raise WrongBranchError("odd-cycle scan requires a 3-chromatic graph")
-    bound = odd_girth(h)
-    assert bound is not None
-    entries = []
-    nodes = 0
-    g = 1
-    while True:
-        witness, n = homomorphism_search(h, cycle(2 * g + 1))
-        nodes += n
-        if witness is None:
-            return ScanResult(g, tuple(entries), nodes)
-        entries.append(CertificateEntry("odd-cycle", g, witness))
-        g += 1
-        if 2 * g + 1 > bound + 2:
-            raise AssertionError("odd-cycle scan ran past its girth bound")
+    return _scan(h, "odd-cycle", 2, _last_index(h, "odd-cycle"))
 
 
 def scan_gallery_joins(h: Graph, r: int) -> ScanResult:
@@ -163,16 +213,7 @@ def scan_gallery_joins(h: Graph, r: int) -> ScanResult:
         raise InvalidParameterError("r must be at least 3")
     if chromatic_number(h) != r + 1:
         raise WrongBranchError(f"gallery scan with r={r} requires chromatic number {r + 1}")
-    head = complete(r - 3)
-    entries = []
-    nodes = 0
-    for j in range(1, len(SEQUENCE) + 1):
-        witness, n = homomorphism_search(h, join(head, sequence_graph(j)))
-        nodes += n
-        if witness is None:
-            return ScanResult(j, tuple(entries), nodes)
-        entries.append(CertificateEntry("gallery-join", j, witness))
-    return ScanResult(None, tuple(entries), nodes)
+    return _scan(h, "gallery-join", r, _last_index(h, "gallery-join"))
 
 
 def scan_cycle_joins(h: Graph, r: int) -> ScanResult:
@@ -186,19 +227,7 @@ def scan_cycle_joins(h: Graph, r: int) -> ScanResult:
         raise InvalidParameterError("r must be at least 3")
     if chromatic_number(h) != r + 1:
         raise WrongBranchError(f"cycle-join scan with r={r} requires chromatic number {r + 1}")
-    head = complete(r - 2)
-    entries = []
-    nodes = 0
-    g = 1
-    while True:
-        witness, n = homomorphism_search(h, join(head, cycle(2 * g + 1)))
-        nodes += n
-        if witness is None:
-            return ScanResult(g, tuple(entries), nodes)
-        entries.append(CertificateEntry("cycle-join", g, witness))
-        g += 1
-        if 2 * g + 1 > h.order + 2:
-            raise AssertionError("cycle-join scan ran past its termination bound")
+    return _scan(h, "cycle-join", r, _last_index(h, "cycle-join"))
 
 
 @dataclass(frozen=True)
@@ -285,25 +314,24 @@ class DeltaResult:
         return cls.from_json(data)
 
     def validate(self, h: Graph) -> bool:
-        """Recheck the stored certificate and threshold arithmetic against h."""
+        """Recheck the threshold arithmetic and the stored certificate
+        against h. The failing index must lie within the scan's bound for h,
+        and the certificate must hold a valid witness for exactly the scan
+        steps that pass before it, in scan order. That the step at index
+        fails is not re-proved here; ``certify`` checks it."""
         try:
             if chromatic_number(h) != self.r + 1:
                 return False
-            for entry in self.certificate:
-                if not entry.witness.is_valid(h, entry.target(self.r)):
-                    return False
-            if self.branch == "odd-cycle":
-                return self.r == 2 and self.value == Fraction(2, 2 * self.index + 1)
-            if self.branch == "gallery":
-                return self.value == degree_threshold(self.r, self.index - 1)
-            if self.branch == "interval":
-                return (
-                    self.lower == cycle_join_threshold(self.r, self.index)
-                    and self.upper == interval_upper(self.r)
-                )
+            if (self.value, self.lower, self.upper) != _threshold(self.branch, self.r, self.index):
+                return False
+            if not 1 <= self.index <= _last_index(h, _FAILING_KIND[self.branch]):
+                return False
+            steps = [(e.kind, e.index) for e in self.certificate]
+            if steps != _passing_steps(self.branch, self.index):
+                return False
+            return all(e.witness.is_valid(h, e.target(self.r)) for e in self.certificate)
         except InvalidParameterError:
             return False
-        return False
 
 
 def classify(h: Graph) -> DeltaResult:
@@ -317,40 +345,14 @@ def classify(h: Graph) -> DeltaResult:
             "the threshold is defined only for chromatic number at least 3"
         )
     r = chi - 1
-    if r == 2:
-        scan = scan_odd_cycles(h)
-        assert scan.index is not None
-        return DeltaResult(
-            r=2,
-            branch="odd-cycle",
-            index=scan.index,
-            value=Fraction(2, 2 * scan.index + 1),
-            lower=None,
-            upper=None,
-            certificate=scan.certificate,
-            nodes_expanded=scan.nodes_expanded,
-        )
-    scan = scan_gallery_joins(h, r)
-    if scan.index is not None:
-        return DeltaResult(
-            r=r,
-            branch="gallery",
-            index=scan.index,
-            value=degree_threshold(r, scan.index - 1),
-            lower=None,
-            upper=None,
-            certificate=scan.certificate,
-            nodes_expanded=scan.nodes_expanded,
-        )
-    tail = scan_cycle_joins(h, r)
-    assert tail.index is not None
-    return DeltaResult(
-        r=r,
-        branch="interval",
-        index=tail.index,
-        value=None,
-        lower=cycle_join_threshold(r, tail.index),
-        upper=interval_upper(r),
-        certificate=scan.certificate + tail.certificate,
-        nodes_expanded=scan.nodes_expanded + tail.nodes_expanded,
-    )
+    certificate: tuple[CertificateEntry, ...] = ()
+    nodes = 0
+    for branch in ("odd-cycle",) if r == 2 else ("gallery", "interval"):
+        kind = _FAILING_KIND[branch]
+        scan = _scan(h, kind, r, _last_index(h, kind))
+        certificate += scan.certificate
+        nodes += scan.nodes_expanded
+        if scan.index is not None:
+            break
+    value, lower, upper = _threshold(branch, r, scan.index)
+    return DeltaResult(r, branch, scan.index, value, lower, upper, certificate, nodes)

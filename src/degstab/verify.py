@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import codecs
-from .classify import degree_threshold
+from .classify import degree_threshold, scan_target
 from .errors import InvalidParameterError, ResourceBudgetError
-from .gallery import SEQUENCE, sequence_graph
-from .graphs import Graph, complete, cycle, degree_profile, join, odd_girth
+from .gallery import SEQUENCE
+from .graphs import Graph, cycle, degree_profile, odd_girth
 from .hom import (
     chromatic_number,
     has_homomorphism,
@@ -269,9 +269,8 @@ def check_properties(r: int, g_max: int = 11) -> VerificationReport:
     start = time.perf_counter()
     violations = []
     checked = 0
-    head = complete(r - 3)
     for j in range(1, min(g_max + 1, len(SEQUENCE)) + 1):
-        target = join(head, sequence_graph(j))
+        target = scan_target("gallery-join", j, r)
         checked += 1
         chi = chromatic_number(target)
         if chi != r + 1:

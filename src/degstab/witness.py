@@ -18,7 +18,7 @@ to the threshold. The families are blow-ups of small join constructions:
 three facts that make it a witness: the classified pattern has no
 homomorphism into the family's base (so no member contains it), the member
 is within the unavoidable rounding slack of the threshold ratio, and the
-counting bound on edge edits is positive.
+seed is not r-colorable, so the counting bound on edge edits holds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import DeltaResult
+from .classify import DeltaResult, scan_target
 from .errors import InvalidParameterError
 from .gallery import SEQUENCE, WEIGHTED_TAGS, gallery_graph, gallery_weighting
 from .graphs import (
@@ -39,7 +39,7 @@ from .graphs import (
     degree_profile,
     join,
 )
-from .hom import has_homomorphism
+from .hom import has_homomorphism, is_k_colorable
 
 __all__ = [
     "odd_cycle_witness",
@@ -156,20 +156,18 @@ def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:
 
     Returns (seed, base): members of the family are balanced blow-ups of
     seed, and seed is itself a blow-up of base, so any graph with no
-    homomorphism into base appears in no member.
+    homomorphism into base appears in no member. The base is the scan
+    target that failed.
     """
+    r, index = result.r, result.index
     if result.branch == "odd-cycle":
-        seed = cycle(2 * result.index + 1)
+        seed = scan_target("odd-cycle", index, r)
         return seed, seed
     if result.branch == "interval":
-        g = result.index
-        seed = regular_join_witness(result.r, g)
-        return seed, join(complete(result.r - 2), cycle(2 * g + 1))
+        return regular_join_witness(r, index), scan_target("cycle-join", index, r)
     if result.branch != "gallery":
         raise InvalidParameterError(f"unknown branch {result.branch!r}")
-    tag = SEQUENCE[result.index - 1]
-    base = join(complete(result.r - 3), gallery_graph(tag))
-    return witness_for_gallery_index(result.r, result.index), base
+    return witness_for_gallery_index(r, index), scan_target("gallery-join", index, r)
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,8 @@ def certify(h: Graph, result: DeltaResult, n: int) -> CertificationReport:
     Checks, in order: (a) h has no homomorphism into the family base, which
     proves every family member avoids h; (b) the member's min-degree ratio
     is at least the claimed threshold minus seed_order/n, the exact worst
-    case of balancing loss; (c) the edit counting bound is positive.
+    case of balancing loss; (c) the seed is not r-colorable, without which
+    the edit counting bound does not hold.
     """
     if not result.validate(h):
         raise InvalidParameterError("result does not match the supplied graph")
@@ -224,9 +223,12 @@ def certify(h: Graph, result: DeltaResult, n: int) -> CertificationReport:
     )
 
     bound = edit_lower_bound(seed.order, n)
+    colorable = is_k_colorable(seed, result.r)
     check_c = CertificationCheck(
         "edit-bound",
-        bound > 0,
-        f"counting bound {bound} edge deletions",
+        not colorable,
+        f"seed is {result.r}-colorable; the counting bound does not hold"
+        if colorable
+        else f"seed is not {result.r}-colorable; counting bound {bound} edge deletions",
     )
     return CertificationReport(member, seed.order, (check_a, check_b, check_c))

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from degstab import _purecore
-from degstab.backend import backend_name, has_compiled_backend
 
 fastcore = pytest.importorskip(
     "degstab._fastcore", reason="compiled kernels not built"
@@ -18,11 +17,6 @@ def random_adj(rng, n, p=0.5):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
-
-
-def test_backend_is_reported():
-    assert backend_name() in {"compiled", "pure"}
-    assert has_compiled_backend() in {True, False}
 
 
 def test_hom_search_parity_including_witnesses_and_counts():

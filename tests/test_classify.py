@@ -1,4 +1,6 @@
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from degstab import (
     Weighting,
     blow_up,
     brute_force_homomorphism_exists,
+    certify,
     classify,
     complete,
     cycle,
@@ -249,6 +252,77 @@ class TestResultSerialization:
             DeltaResult.loads("{nope")
         with pytest.raises(ParseError):
             DeltaResult.loads('{"branch": "gallery"}')
+
+
+class TestCertificateCompleteness:
+    """A certificate must cover exactly the scan steps that pass before the
+    failure, in scan order; dropping or reordering entries is rejected."""
+
+    def test_empty_certificate_rejected(self):
+        h = gallery_graph("W9")
+        result = classify(h)
+        assert len(result.certificate) == 3
+        assert not replace(result, certificate=()).validate(h)
+
+    def test_reversed_certificate_rejected(self):
+        h = gallery_graph("W9")
+        result = classify(h)
+        reordered = replace(result, certificate=result.certificate[::-1])
+        assert not reordered.validate(h)
+
+    def test_unearned_index_rejected(self):
+        # K4 fails at index 2 (value 5/8); claiming a failure at index 6
+        # with no witnesses for indices 1..5 must not validate or certify.
+        h = complete(4)
+        fake = DeltaResult(
+            r=3,
+            branch="gallery",
+            index=6,
+            value=degree_threshold(3, 5),
+            lower=None,
+            upper=None,
+            certificate=(),
+            nodes_expanded=0,
+        )
+        assert not fake.validate(h)
+        with pytest.raises(InvalidParameterError):
+            certify(h, fake, 60)
+
+    def test_interval_steps_are_all_gallery_joins_then_cycle_joins(self):
+        from degstab.classify import _passing_steps
+
+        steps = _passing_steps("interval", 3)
+        assert steps == [("gallery-join", j) for j in range(1, 13)] + [
+            ("cycle-join", 1),
+            ("cycle-join", 2),
+        ]
+        assert _passing_steps("odd-cycle", 1) == []
+
+    def test_index_past_the_scan_bound_rejected(self):
+        # C5's odd-cycle scan must fail by g = 3 (its odd girth is 5).
+        h = cycle(5)
+        result = classify(h)
+        for g in (0, 4, 10**6):
+            claim = replace(result, index=g, value=Fraction(2, 2 * g + 1))
+            assert not claim.validate(h)
+
+
+class TestChromaticNumberOnce:
+    def test_classify_computes_chi_once(self, monkeypatch):
+        module = sys.modules["degstab.classify"]
+        original = module.chromatic_number
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        for h in (complete(3), complete(4), petersen(), gallery_graph("W9")):
+            monkeypatch.setattr(module, "chromatic_number", counting)
+            calls.clear()
+            classify(h)
+            monkeypatch.undo()
+            assert calls == [h]
 
 
 class TestIntervalBranchSearch:

@@ -23,6 +23,7 @@ from degstab import (
     scaled_gallery_weighting,
     witness_for_gallery_index,
 )
+from degstab import witness
 from degstab.errors import InvalidParameterError
 from degstab.gallery import gallery_graph
 from degstab.witness import witness_base
@@ -189,6 +190,29 @@ class TestCertify:
         result = classify(h)
         with pytest.raises(InvalidParameterError):
             certify(h, result, 7)  # seed has 8 vertices
+
+
+class TestEditBoundCheck:
+    def test_passes_on_real_results(self):
+        for h in (complete(4), gallery_graph("W9")):
+            report = certify(h, classify(h), 60)
+            check = {c.name: c for c in report.checks}["edit-bound"]
+            assert check.passed
+            assert "not 3-colorable" in check.detail
+
+    def test_fails_on_a_colorable_seed(self, monkeypatch):
+        # The stored H2plus weighting puts weight 0 on two vertices, and the
+        # index-6 seed it blows up to is 3-colorable at r = 3.
+        seed = witness_for_gallery_index(3, 6)
+        assert chromatic_number(seed) == 3
+        base = join(complete(0), gallery_graph("H2plus"))
+        monkeypatch.setattr(witness, "witness_base", lambda result: (seed, base))
+        h = complete(4)
+        report = certify(h, classify(h), 60)
+        check = {c.name: c for c in report.checks}["edit-bound"]
+        assert not check.passed
+        assert "is 3-colorable" in check.detail
+        assert not report.passed
 
 
 class TestWitnessBase:
