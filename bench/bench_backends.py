@@ -3,7 +3,9 @@
 
 Runs the same deterministic workloads through degstab._fastcore and
 degstab._purecore, asserts the outputs are identical, and prints a timing
-table. Usage:
+table. A last row times ``degstab.backend.hom_search`` on the refutation
+workload: what ``classify`` pays, with the clique bound in front of the
+active kernel set. Usage:
 
     python bench/bench_backends.py [--repeat N]
 """
@@ -14,7 +16,7 @@ import argparse
 import random
 import time
 
-from degstab import _purecore
+from degstab import _purecore, backend
 from degstab.gallery import SEQUENCE, sequence_graph
 from degstab.graphs import Graph, complete, cycle, join, wheel
 
@@ -155,6 +157,12 @@ def main() -> int:
             fast_best = min(_timed(run, _fastcore) for _ in range(args.repeat))
             line += f" {fast_best:>9.3f}s {pure_best / fast_best:>7.1f}x"
         print(line)
+
+    # What classify pays: the clique bound first, then the active kernels.
+    _, refutations = workload_refutations()
+    dispatched = min(_timed(refutations, backend) for _ in range(args.repeat))
+    name = f"backend.hom_search, same cases ({backend.backend_name()})"
+    print(f"{name:<52} {dispatched:>9.3f}s")
     return 0
 
 

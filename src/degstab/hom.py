@@ -2,20 +2,25 @@
 
 Homomorphism existence, chromatic number, k-colorability, clique
 enumeration and local bipartiteness. Everything is exact and deterministic;
-non-existence answers come from exhaustive backtracking, and the verifier
-cross-checks them against plain map enumeration at small scale.
+non-existence answers come from the clique bound in
+:func:`degstab.backend.hom_search` (a greedy clique of the pattern larger
+than the target's clique number) or from exhaustive backtracking, and the
+verifier cross-checks them against plain map enumeration at small scale.
 
 Before searching, vertices with identical neighbourhoods are merged on both
 sides ("twin reduction"). This is exact: twins are non-adjacent, share all
 constraints, and any solution can be rewritten so they agree, so existence
 is unaffected; a witness on the reduced graphs extends by copying the
 representative's image. The reduction collapses blow-ups back to their
-bases, which keeps blow-up-invariance properties cheap to exercise.
+bases, which keeps blow-up-invariance properties cheap to exercise. Search
+targets recur (scan targets, the verify suites' cycles), so a target's
+reduction is memoized on its adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import backend
 from .errors import InvalidParameterError
@@ -53,12 +58,16 @@ class HomWitness:
         return True
 
 
+# Distinct target adjacencies whose twin reduction is kept.
+_REDUCTION_MEMO_SIZE = 512
+
+
 def _twin_reduction(adj: tuple[int, ...]):
     """Drop all but the lowest-indexed vertex of each twin class.
 
-    Returns (reduced adjacency, kept original indices, original-to-kept
-    representative map). Iterates to a fixpoint because removals can create
-    new twins.
+    Returns the tuples (reduced adjacency, kept original indices,
+    original-to-kept representative map). Iterates to a fixpoint because
+    removals can create new twins.
     """
     n = len(adj)
     alive = list(range(n))
@@ -92,17 +101,21 @@ def _twin_reduction(adj: tuple[int, ...]):
             if u in pos:
                 m |= 1 << pos[u]
         reduced.append(m)
-    return tuple(reduced), alive, [pos[rep[v]] for v in range(n)]
+    return tuple(reduced), tuple(alive), tuple(pos[rep[v]] for v in range(n))
+
+
+_target_reduction = lru_cache(maxsize=_REDUCTION_MEMO_SIZE)(_twin_reduction)
 
 
 def homomorphism_search(pattern: Graph, target: Graph):
-    """Exhaustive search for pattern -> target.
+    """Exact search for pattern -> target.
 
-    Returns (HomWitness or None, nodes expanded). None means the search
-    space was exhausted, so no homomorphism exists.
+    Returns (HomWitness or None, nodes expanded). None means no
+    homomorphism exists: either the clique bound refuted it (nodes 0) or
+    the search space was exhausted.
     """
     p_red, _, p_rep = _twin_reduction(pattern.adj)
-    t_red, t_kept, _ = _twin_reduction(target.adj)
+    t_red, t_kept, _ = _target_reduction(target.adj)
     raw, nodes = backend.hom_search(p_red, t_red)
     if raw is None:
         return None, nodes
@@ -148,14 +161,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
 
 def greedy_clique(g: Graph) -> tuple[int, ...]:
     """A maximal clique grown greedily by descending degree (ties by index)."""
-    order = sorted(range(g.order), key=lambda v: (-g.adj[v].bit_count(), v))
-    chosen_mask = 0
-    chosen = []
-    for v in order:
-        if chosen_mask & ~g.adj[v] == 0:
-            chosen.append(v)
-            chosen_mask |= 1 << v
-    return tuple(sorted(chosen))
+    return tuple(_bits(backend.greedy_clique(g.adj)))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -193,13 +199,9 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
 
 
 def clique_number(g: Graph) -> int:
-    """Exact clique number by enumeration from the greedy lower bound up."""
-    if g.order == 0:
-        return 0
-    best = max(1, len(greedy_clique(g)))
-    while cliques_of_size(g, best + 1):
-        best += 1
-    return best
+    """Exact clique number, by the bitset branch and bound the clique-bound
+    refutation uses."""
+    return backend.clique_number(g.adj)
 
 
 def _mask_bipartite(adj: tuple[int, ...], subset: int) -> bool:

@@ -33,6 +33,7 @@ from degstab import (
     regular_join_witness,
     threshold_constant,
 )
+from degstab import backend
 from degstab.gallery import SEQUENCE, gallery_graph
 
 
@@ -148,17 +149,28 @@ def test_criterion_08_lemma_suites():
                 assert report.passed, report.violations[:3]
 
 
-def test_criterion_09_solver_matches_enumeration():
+def test_criterion_09_solver_matches_enumeration(monkeypatch):
+    # A search that reaches no kernel was refuted by the clique bound; the
+    # equality with enumeration below then checks that refutation.
+    searched = []
+    kernel = backend._routed_hom_search
+    monkeypatch.setattr(
+        backend, "_routed_hom_search", lambda p, t: searched.append(p) or kernel(p, t)
+    )
     with criterion(9, "solver equals map enumeration on <=5 x <=4 vertices", 600.0):
         patterns = list(CorpusSpec.exhaustive(5).graphs())
         targets = list(CorpusSpec.exhaustive(4).graphs())
+        refuted = 0
         for p in patterns:
             for t in targets:
+                before = len(searched)
                 witness = has_homomorphism(p, t)
                 exists = brute_force_homomorphism_exists(p, t)
                 assert (witness is not None) == exists, (p, t)
                 if witness is not None:
                     assert witness.is_valid(p, t)
+                refuted += len(searched) == before
+        assert refuted > 0
 
 
 def test_criterion_10_certification_loop():

@@ -18,6 +18,7 @@ from degstab import (
     cycle_join_threshold,
     degree_threshold,
     empty_graph,
+    homomorphism_search,
     interval_upper,
     join,
     odd_girth,
@@ -33,6 +34,7 @@ from degstab.errors import (
     UndefinedThresholdError,
     WrongBranchError,
 )
+from degstab.classify import scan_target
 from degstab.gallery import gallery_graph
 from tests import oracles
 
@@ -136,16 +138,15 @@ class TestScans:
 
 class TestClassify:
     def test_clique_row(self):
-        expected = {
-            2: Fraction(2, 5),
-            3: Fraction(5, 8),
-            4: Fraction(8, 11),
-            5: Fraction(11, 14),
-        }
-        for r, value in expected.items():
+        assert classify(complete(3)).value == Fraction(2, 5)
+        for r in range(3, 13):
             result = classify(complete(r + 1))
-            assert result.r == r
-            assert result.value == value
+            assert (result.r, result.index) == (r, 2)
+            assert result.value == Fraction(3 * r - 4, 3 * r - 1)
+            # The failing step, K_{r+1} -> K_{r-3} v W5, is refuted by the
+            # clique bound without a search.
+            target = scan_target("gallery-join", 2, r)
+            assert homomorphism_search(complete(r + 1), target) == (None, 0)
 
     def test_petersen(self):
         result = classify(petersen())

@@ -11,6 +11,7 @@ import pytest
 import degstab
 from degstab import _purecore, backend
 from degstab.backend import backend_name, has_compiled_backend
+from degstab.graphs import complete, cycle, join, wheel
 
 # Kernel name -> number of leading graph arguments, then the extra ones.
 KERNELS = {
@@ -111,3 +112,34 @@ def test_environment_forces_pure(routed):
     assert {label for label, _, _ in calls} == {"pure"}
     assert [name for _, name, _ in calls] == list(KERNELS)
 
+
+# -- clique-bound refutation --------------------------------------------------
+
+
+def _clique_vs_wheel_join(r):
+    """K_{r+1} and K_{r-3} v W5: clique numbers r + 1 and r."""
+    return complete(r + 1).adj, join(complete(r - 3), wheel(5)).adj
+
+
+@pytest.mark.parametrize("env", [None, "pure"])
+def test_clique_bound_refutes_before_either_kernel(routed, env):
+    calls = routed(env)
+    for r in range(3, 13):
+        p_adj, t_adj = _clique_vs_wheel_join(r)
+        assert backend.hom_search(p_adj, t_adj) == (None, 0)
+        assert backend.clique_number(t_adj) == r
+    # A nonempty pattern has no map into the empty graph either.
+    assert backend.hom_search(complete(1).adj, ()) == (None, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("env", [None, "pure"])
+def test_unrefuted_call_returns_what_the_kernel_returns(routed, env):
+    calls = routed(env)
+    label = "pure" if env else "stub"
+    # The boundary: the greedy clique of K3 and the clique number of W5 are
+    # both 3, and K3 -> W5 exists.
+    assert backend.hom_search(complete(3).adj, wheel(5).adj) == label
+    # C5 -> C7 does not exist, but the bound (2 against 2) cannot show it.
+    assert backend.hom_search(cycle(5).adj, cycle(7).adj) == label
+    assert [(kind, name) for kind, name, _ in calls] == [(label, "hom_search")] * 2

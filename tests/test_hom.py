@@ -25,6 +25,7 @@ from degstab import (
     petersen,
     wheel,
 )
+from degstab import hom
 from degstab.errors import InvalidParameterError
 from degstab.gallery import gallery_graph
 from degstab.hom import greedy_clique
@@ -43,6 +44,20 @@ class TestHomomorphism:
     def test_petersen_into_c5_none(self):
         assert has_homomorphism(petersen(), cycle(5)) is None
         assert brute_force_homomorphism_exists(petersen(), cycle(5)) is False
+
+    def test_triangle_into_wheel_at_the_clique_bound(self):
+        # The greedy clique of K3 equals the clique number of W5: the bound
+        # does not refute, and the map exists.
+        witness, nodes = homomorphism_search(complete(3), wheel(5))
+        assert witness is not None and witness.is_valid(complete(3), wheel(5))
+        assert nodes > 0
+
+    def test_target_reduced_once(self):
+        hom._target_reduction.cache_clear()
+        for p in (cycle(7), cycle(9), petersen()):
+            homomorphism_search(p, cycle(5))
+        info = hom._target_reduction.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_c7_into_c5(self):
         # derived by full enumeration before trusting the solver

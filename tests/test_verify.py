@@ -6,6 +6,7 @@ import pytest
 
 from degstab import (
     CorpusSpec,
+    HomWitness,
     Weighting,
     blow_up,
     brute_min_edits_to_k_partite,
@@ -21,6 +22,7 @@ from degstab import (
     petersen,
     search_hom_free_lower_bound,
 )
+from degstab import verify
 from degstab.errors import InvalidParameterError, ResourceBudgetError
 from degstab.gallery import gallery_graph
 from degstab.verify import VerificationReport, Violation
@@ -126,6 +128,16 @@ class TestLemmaSuites:
     def test_odd_girth_long_cycle(self):
         report = check_hom_odd_girth([cycle(9)], 4)
         assert report.passed
+
+    def test_odd_girth_suite_can_fail(self, monkeypatch):
+        # The suite checks the search against the odd-girth lemma, so it
+        # must report a search that claims K3 -> C5.
+        monkeypatch.setattr(verify, "has_homomorphism", lambda g, t: HomWitness((0,) * g.order))
+        report = check_hom_odd_girth([complete(3)], 2)
+        assert not report.passed
+        assert [v.detail for v in report.violations] == [
+            "maps into the 5-cycle but has odd girth 3"
+        ]
 
     def test_haggkvist_exhaustive(self):
         for g in (2, 3):
