@@ -73,9 +73,11 @@ def workload_hom_search():
 
 
 def workload_refutations():
-    # The searches classify spends its time on: K_{r+1} -> K_{r-3} v W5
-    # has no homomorphism, and M_1(C_7) maps into some gallery joins but
-    # not others, so most of these are exhaustive refutations.
+    # Refutation-heavy raw-kernel cases: K_{r+1} -> K_{r-3} v W5 has no
+    # homomorphism, and M_1(C_7) maps into some gallery joins but not
+    # others, so most of these are exhaustive refutations. classify never
+    # sends the clique cases to a kernel; what it pays for this set is the
+    # backend.hom_search row.
     cases = [(complete(r + 1).adj, join(complete(r - 3), wheel(5)).adj) for r in range(3, 8)]
     m1c7 = mycielskian(cycle(7), 1).adj
     cases += [(m1c7, sequence_graph(j).adj) for j in range(1, len(SEQUENCE) + 1)]

@@ -19,8 +19,10 @@ clique of the pattern is larger than the target's clique number there is
 none, and the call returns ``(None, 0)`` without reaching either kernel.
 Otherwise it returns the routed kernel's result unchanged. ``None`` from
 ``hom_search`` therefore means refuted by the clique bound (0 nodes) or by
-exhaustive search. The target's clique number comes from
-``clique_number``, a bitset branch and bound memoized on the adjacency.
+exhaustive search. The target's exact clique number comes from
+``clique_number``, a bitset branch and bound, memoized on the adjacency;
+it is computed only when the pattern's greedy clique is larger than the
+target's, so a target that cannot refute the pattern costs no exact search.
 
 Set ``DEGSTAB_BACKEND=pure`` in the environment (before import) to force
 the pure kernels, e.g. for benchmarking.
@@ -43,8 +45,8 @@ if os.environ.get("DEGSTAB_BACKEND", "").strip().lower() in {"pure", "python"}:
 
 _FAST_MAX_ORDER = 64
 
-# Distinct adjacencies whose clique number is kept. Scan targets and the
-# verify suites' cycles recur in nearly every search, and there are few.
+# Distinct target adjacencies whose clique number hom_search keeps. The
+# benchmark workloads' hit rates are in BENCH_clique_refutation.json.
 _CLIQUE_MEMO_SIZE = 512
 
 _KERNELS = {
@@ -91,8 +93,8 @@ def hom_search(p_adj, t_adj):
     is deliberately absent: ``verify.check_hom_odd_girth`` tests exactly
     that lemma through this search, and would then only check itself.
     """
-    omega = clique_number(tuple(t_adj))
-    if omega < len(p_adj) and greedy_clique(p_adj).bit_count() > omega:
+    k = greedy_clique(p_adj).bit_count()
+    if k > greedy_clique(t_adj).bit_count() and k > _target_clique_number(tuple(t_adj)):
         return None, 0
     return _routed_hom_search(p_adj, t_adj)
 
@@ -107,8 +109,7 @@ def greedy_clique(adj) -> int:
     return chosen
 
 
-@lru_cache(maxsize=_CLIQUE_MEMO_SIZE)
-def clique_number(adj: tuple[int, ...]) -> int:
+def clique_number(adj) -> int:
     """Exact clique number of a symmetric, loop-free adjacency.
 
     Branch and bound over candidate masks: a greedy colouring of the
@@ -144,3 +145,6 @@ def clique_number(adj: tuple[int, ...]) -> int:
 
     expand(0, (1 << len(adj)) - 1)
     return best
+
+
+_target_clique_number = lru_cache(maxsize=_CLIQUE_MEMO_SIZE)(clique_number)

@@ -138,7 +138,8 @@ class TestScans:
 
 class TestClassify:
     def test_clique_row(self):
-        assert classify(complete(3)).value == Fraction(2, 5)
+        k3 = classify(complete(3))
+        assert (k3.r, k3.value) == (2, Fraction(2, 5))
         for r in range(3, 13):
             result = classify(complete(r + 1))
             assert (result.r, result.index) == (r, 2)

@@ -12,6 +12,7 @@ import degstab
 from degstab import _purecore, backend
 from degstab.backend import backend_name, has_compiled_backend
 from degstab.graphs import complete, cycle, join, wheel
+from degstab.hom import clique_number
 
 # Kernel name -> number of leading graph arguments, then the extra ones.
 KERNELS = {
@@ -143,3 +144,22 @@ def test_unrefuted_call_returns_what_the_kernel_returns(routed, env):
     # C5 -> C7 does not exist, but the bound (2 against 2) cannot show it.
     assert backend.hom_search(cycle(5).adj, cycle(7).adj) == label
     assert [(kind, name) for kind, name, _ in calls] == [(label, "hom_search")] * 2
+
+
+def test_exact_clique_number_only_when_greedy_cannot_decide(routed, monkeypatch):
+    routed("pure")
+    exact = []
+    monkeypatch.setattr(
+        backend, "_target_clique_number", lambda adj: exact.append(adj) or backend.clique_number(adj)
+    )
+    # The target's greedy clique already matches the pattern's: no exact search.
+    backend.hom_search(complete(3).adj, wheel(5).adj)
+    assert exact == []
+    assert backend.hom_search(complete(4).adj, wheel(5).adj) == (None, 0)
+    assert exact == [wheel(5).adj]
+
+
+def test_clique_number_of_any_graph_leaves_the_target_memo_alone():
+    backend._target_clique_number.cache_clear()
+    assert clique_number(join(complete(2), cycle(7))) == 4
+    assert backend._target_clique_number.cache_info().currsize == 0
