@@ -88,16 +88,6 @@ def workload_refutations():
     return "hom_search (K_r+1 -> K_r-3 v W5, M1(C7) -> gallery)", run
 
 
-def workload_brute_hom():
-    rng = random.Random(12)
-    cases = [(random_adj(rng, 6, 0.5), random_adj(rng, 5, 0.5)) for _ in range(400)]
-
-    def run(mod):
-        return [mod.brute_hom(p, t) for p, t in cases]
-
-    return "brute_hom (400 pairs, 5^6 maps each)", run
-
-
 def workload_color():
     rng = random.Random(13)
     cases = [(random_adj(rng, 14, 0.5), k) for _ in range(120) for k in (3, 4)]
@@ -136,7 +126,6 @@ def main() -> int:
     workloads = [
         workload_hom_search(),
         workload_refutations(),
-        workload_brute_hom(),
         workload_color(),
         workload_edits(),
         workload_odd_girth(),

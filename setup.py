@@ -1,16 +1,6 @@
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: if Cython (or a C compiler) is missing
-# the package installs anyway and degstab.backend falls back to the pure
-# Python kernels at import time.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [Extension("degstab._fastcore", ["src/degstab/_fastcore.pyx"])],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+# The compiled kernels are optional: if the C source does not compile the
+# package installs anyway and degstab.backend falls back to the pure Python
+# kernels at import time.
+setup(ext_modules=[Extension("degstab._fastcore", ["src/degstab/_fastcore.c"], optional=True)])

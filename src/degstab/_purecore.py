@@ -1,11 +1,13 @@
 """Pure-Python search kernels.
 
 These are the hot inner loops of the package: homomorphism backtracking,
-brute-force map enumeration, exact coloring, partition edit counting and
-odd-girth BFS. A compiled twin (``degstab._fastcore``) implements the same
-five entry points with identical semantics and identical tie-breaking;
-:mod:`degstab.backend` picks one at import time. Keep the two in lock-step:
-the test suite compares their outputs bit for bit.
+exact coloring, partition edit counting and odd-girth BFS, plus
+brute-force map enumeration. A compiled twin (``degstab._fastcore``, plain
+C) implements the first four entry points with identical semantics and
+identical tie-breaking; :mod:`degstab.backend` picks one at import time.
+Keep the two in lock-step: the test suite compares their outputs bit for
+bit. ``brute_hom`` has no compiled twin: it is the independent oracle for
+``hom_search`` and shares no code with either search.
 
 All functions take adjacency as a sequence of integer bitmasks, one per
 vertex (bit ``u`` of ``adj[v]`` is set iff ``uv`` is an edge). The adjacency

@@ -1,17 +1,20 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-The compiled module ``degstab._fastcore`` is built from Cython at install
-time and handles graphs of order at most 64, which covers every hot path in
-the package. Larger instances, or installs without a compiler, use
-``degstab._purecore``. Both implement the same algorithms with the same
-tie-breaking, so results are identical; only the speed differs.
+The compiled module ``degstab._fastcore`` is built from one hand-written C
+source at install time and handles graphs of order at most 64, which covers
+every hot path in the package. Larger instances, or installs without a
+compiler, use ``degstab._purecore``. Both implement the same algorithms
+with the same tie-breaking, so results are identical; only the speed
+differs.
 
 Every kernel is dispatched by one table, ``_KERNELS``, which maps a kernel
 name to its number of leading graph arguments (adjacency masks). The module
 defines one function per entry, named after the kernel: a call goes to the
-compiled kernel, with each graph argument converted to a list, when
-``_fastcore`` is loaded and every graph argument has order at most 64, and
-to the pure kernel otherwise.
+compiled kernel, with its arguments unchanged, when ``_fastcore`` is loaded
+and every graph argument has order at most 64, and to the pure kernel
+otherwise. ``brute_hom``, the independent oracle for ``hom_search``, is not
+in the table: it is pure only, so it shares no code with the compiled
+search.
 
 ``hom_search`` first tries one exact refutation above both kernel sets: a
 homomorphism maps a clique injectively onto a clique, so when a greedy
@@ -51,7 +54,6 @@ _CLIQUE_MEMO_SIZE = 512
 
 _KERNELS = {
     "hom_search": 2,
-    "brute_hom": 2,
     "color_search": 1,
     "min_edits": 1,
     "odd_girth": 1,
@@ -72,14 +74,14 @@ def _dispatcher(name: str, graphs: int):
 
     def kernel(*args):
         if _fastcore is not None and max(map(len, args[:graphs])) <= _FAST_MAX_ORDER:
-            return getattr(_fastcore, name)(*map(list, args[:graphs]), *args[graphs:])
+            return getattr(_fastcore, name)(*args)
         return pure(*args)
 
     kernel.__name__ = kernel.__qualname__ = name
     return kernel
 
 
-# Defines hom_search, brute_hom, color_search, min_edits and odd_girth; the
+# Defines hom_search, color_search, min_edits and odd_girth; the
 # routed hom_search is then wrapped by the clique-bound refutation.
 globals().update({name: _dispatcher(name, graphs) for name, graphs in _KERNELS.items()})
 _routed_hom_search = hom_search

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import backend
+from . import _purecore, backend
 from .errors import InvalidParameterError
 from .graphs import Graph, _bits
 
@@ -133,7 +133,7 @@ def has_homomorphism(pattern: Graph, target: Graph) -> HomWitness | None:
 
 def brute_force_homomorphism_exists(pattern: Graph, target: Graph) -> bool:
     """Oracle: enumerate all |target|^|pattern| maps. No reductions."""
-    return backend.brute_hom(pattern.adj, target.adj)
+    return _purecore.brute_hom(pattern.adj, target.adj)
 
 
 def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:

@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from degstab import _purecore
+from degstab import _purecore, backend
+from degstab.graphs import cycle
 
-fastcore = pytest.importorskip(
-    "degstab._fastcore", reason="compiled kernels not built"
-)
+# Entry point -> arguments after the graph ones.
+ENTRY_POINTS = {
+    "hom_search": (),
+    "color_search": (3,),
+    "min_edits": (2,),
+    "odd_girth": (),
+}
 
 
 def random_adj(rng, n, p=0.5):
@@ -19,7 +24,7 @@ def random_adj(rng, n, p=0.5):
     return adj
 
 
-def test_hom_search_parity_including_witnesses_and_counts():
+def test_hom_search_parity_including_witnesses_and_counts(fastcore):
     rng = random.Random(60)
     for _ in range(400):
         p = random_adj(rng, rng.randint(0, 7), rng.random())
@@ -27,15 +32,7 @@ def test_hom_search_parity_including_witnesses_and_counts():
         assert _purecore.hom_search(p, t) == fastcore.hom_search(p, t)
 
 
-def test_brute_hom_parity():
-    rng = random.Random(61)
-    for _ in range(300):
-        p = random_adj(rng, rng.randint(0, 6), rng.random())
-        t = random_adj(rng, rng.randint(0, 5), rng.random())
-        assert _purecore.brute_hom(p, t) == fastcore.brute_hom(p, t)
-
-
-def test_color_search_parity():
+def test_color_search_parity(fastcore):
     rng = random.Random(62)
     for _ in range(300):
         g = random_adj(rng, rng.randint(0, 10), rng.random())
@@ -43,7 +40,7 @@ def test_color_search_parity():
         assert _purecore.color_search(g, k) == fastcore.color_search(g, k)
 
 
-def test_min_edits_parity():
+def test_min_edits_parity(fastcore):
     rng = random.Random(63)
     for _ in range(150):
         g = random_adj(rng, rng.randint(0, 9), rng.random())
@@ -51,17 +48,58 @@ def test_min_edits_parity():
         assert _purecore.min_edits(g, k) == fastcore.min_edits(g, k)
 
 
-def test_odd_girth_parity():
+def test_odd_girth_parity(fastcore):
     rng = random.Random(64)
     for _ in range(400):
         g = random_adj(rng, rng.randint(0, 12), rng.random())
         assert _purecore.odd_girth(g) == fastcore.odd_girth(g)
 
 
-def test_edge_cases_match():
+def test_edge_cases_match(fastcore):
     for p, t in [([], []), ([0], []), ([], [0]), ([0, 0], [0])]:
         assert _purecore.hom_search(p, t) == fastcore.hom_search(p, t)
-        assert _purecore.brute_hom(p, t) == fastcore.brute_hom(p, t)
     assert _purecore.color_search([], 3) == fastcore.color_search([], 3) == ()
+    assert _purecore.color_search([0], 0) is fastcore.color_search([0], 0) is None
     assert _purecore.min_edits([], 2) == fastcore.min_edits([], 2) == 0
     assert _purecore.odd_girth([]) == fastcore.odd_girth([]) == 0
+    # Counts beyond 64 bits behave as in the pure kernels.
+    assert fastcore.color_search([0, 0], 2**70) == _purecore.color_search([0, 0], 2**70)
+    assert fastcore.min_edits([2, 1], 2**70) == _purecore.min_edits([2, 1], 2**70) == 0
+    for k in (0, -(2**70)):
+        with pytest.raises(ValueError, match="k must be positive"):
+            fastcore.min_edits([2, 1], k)
+
+
+def test_tuples_and_lists_give_the_same_result(fastcore):
+    p, t = cycle(9).adj, cycle(7).adj
+    assert fastcore.hom_search(p, t) == fastcore.hom_search(list(p), list(t))
+    assert fastcore.odd_girth(p) == fastcore.odd_girth(list(p)) == 9
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_graph_above_64_vertices_raises_value_error(fastcore, name):
+    graphs = 2 if name == "hom_search" else 1
+    for big in range(graphs):
+        orders = [65 if i == big else 3 for i in range(graphs)]
+        with pytest.raises(ValueError, match="order 65"):
+            getattr(fastcore, name)(*([0] * n for n in orders), *ENTRY_POINTS[name])
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("mask", [-1, 1 << 64])
+def test_negative_or_over_wide_mask_raises_overflow_error(fastcore, name, mask):
+    graphs = 2 if name == "hom_search" else 1
+    for bad in range(graphs):
+        args = [[mask, 0] if i == bad else [0, 0] for i in range(graphs)]
+        with pytest.raises(OverflowError):
+            getattr(fastcore, name)(*args, *ENTRY_POINTS[name])
+
+
+def test_backend_routes_order_65_to_pure_with_the_extension_loaded(fastcore, monkeypatch):
+    monkeypatch.setattr(backend, "_fastcore", fastcore)
+    assert backend.backend_name() == "compiled"
+    p, t = cycle(65).adj, cycle(63).adj
+    with pytest.raises(ValueError):
+        fastcore.hom_search(p, t)
+    assert backend.hom_search(p, t) == _purecore.hom_search(p, t)
+    assert backend.odd_girth(p) == _purecore.odd_girth(p) == 65

@@ -1,9 +1,12 @@
-"""The pure kernels against their plain reference formulations.
+"""Both kernel sets against their plain reference formulations.
 
-``degstab._purecore`` revises search domains by neighbourhood union and
-runs odd-girth BFS one layer mask at a time. ``tests.oracles`` keeps the
-per-bit and per-state versions those replaced; both must agree exactly,
-search node counts and witnesses included. Needs no compiled backend.
+``degstab._purecore`` and the compiled ``degstab._fastcore`` revise search
+domains by neighbourhood union and run odd-girth BFS one layer mask at a
+time. ``tests.oracles`` keeps the per-bit and per-state versions those
+replaced; both kernel sets must agree with them exactly, search node counts
+and witnesses included. Each test takes the kernel set as the ``kernels``
+fixture: the module-level tests run the pure kernels, and ``TestCompiled``
+runs the same tests on the compiled ones.
 """
 
 import random
@@ -22,27 +25,38 @@ from tests.oracles import (
 )
 
 
-def test_hom_search_matches_reference_on_random_pairs():
+@pytest.fixture
+def kernels():
+    return _purecore
+
+
+def above_compiled_limit(kernels, *graphs):
+    """True when kernels is the compiled set and a graph has order above 64,
+    which it must refuse."""
+    return kernels is not _purecore and max(map(len, graphs)) > 64
+
+
+def test_hom_search_matches_reference_on_random_pairs(kernels):
     rng = random.Random(70)
     for _ in range(600):
         p = random_graph(rng, rng.randint(0, 8), rng.random())
         t = random_graph(rng, rng.randint(0, 7), rng.random())
-        assert _purecore.hom_search(p.adj, t.adj) == reference_hom_search(p.adj, t.adj)
+        assert kernels.hom_search(p.adj, t.adj) == reference_hom_search(p.adj, t.adj)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
-def test_hom_search_matches_reference_on_clique_refutations(r):
+def test_hom_search_matches_reference_on_clique_refutations(kernels, r):
     # K_{r+1} -> K_{r-3} v W5 has no homomorphism; the search must refute
     # it with exactly the reference's node count.
     p = complete(r + 1).adj
     t = join(complete(r - 3), wheel(5)).adj
-    got = _purecore.hom_search(p, t)
+    got = kernels.hom_search(p, t)
     assert got == reference_hom_search(p, t)
     assert got[0] is None and got[1] > 0
 
 
 @pytest.mark.parametrize("j", range(1, len(SEQUENCE) + 1))
-def test_hom_search_matches_reference_on_gallery_joins(j):
+def test_hom_search_matches_reference_on_gallery_joins(kernels, j):
     cases = [
         (mycielskian(cycle(5), 1), sequence_graph(j)),
         (mycielskian(cycle(7), 1), sequence_graph(j)),
@@ -50,22 +64,59 @@ def test_hom_search_matches_reference_on_gallery_joins(j):
         (complete(5), join(complete(1), sequence_graph(j))),
     ]
     for pattern, target in cases:
-        assert _purecore.hom_search(pattern.adj, target.adj) == reference_hom_search(
+        assert kernels.hom_search(pattern.adj, target.adj) == reference_hom_search(
             pattern.adj, target.adj
         )
 
 
-@pytest.mark.parametrize("a, b", [(65, 63), (64, 63), (63, 65)])
-def test_hom_search_matches_reference_across_64_vertices(a, b):
+@pytest.mark.parametrize("a, b", [(65, 63), (64, 63), (63, 65), (63, 64), (64, 64)])
+def test_hom_search_matches_reference_across_64_vertices(kernels, a, b):
     p, t = cycle(a).adj, cycle(b).adj
-    assert _purecore.hom_search(p, t) == reference_hom_search(p, t)
+    if above_compiled_limit(kernels, p, t):
+        with pytest.raises(ValueError):
+            kernels.hom_search(p, t)
+    else:
+        assert kernels.hom_search(p, t) == reference_hom_search(p, t)
 
 
-def test_odd_girth_matches_reference_on_random_graphs():
+@pytest.mark.parametrize(
+    "pattern, target",
+    [
+        (mycielskian(cycle(31), 1), complete(4)),
+        (mycielskian(cycle(21), 2), complete(4)),
+        (complete(3), mycielskian(cycle(21), 2)),
+        (mycielskian(cycle(5), 1), mycielskian(cycle(21), 2)),
+    ],
+    ids=lambda g: f"order{g.order}",
+)
+def test_hom_search_matches_reference_at_63_and_64_vertices(kernels, pattern, target):
+    # Order 64 fills every bit of a domain or pattern mask.
+    assert kernels.hom_search(pattern.adj, target.adj) == reference_hom_search(
+        pattern.adj, target.adj
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle(63), cycle(64), mycielskian(cycle(31), 1), mycielskian(cycle(21), 2)],
+    ids=lambda g: f"order{g.order}",
+)
+def test_color_search_at_63_and_64_vertices(kernels, graph):
+    # Odd cycles have chromatic number 3, and Mycielskians of odd cycles 4.
+    for k in (2, 4):
+        coloring = kernels.color_search(graph.adj, k)
+        assert coloring == _purecore.color_search(graph.adj, k)
+        assert (coloring is None) == (k == 2 and reference_odd_girth(graph.adj) > 0)
+        if coloring is not None:
+            assert all(0 <= c < k for c in coloring)
+            assert all(coloring[u] != coloring[v] for u, v in graph.edges())
+
+
+def test_odd_girth_matches_reference_on_random_graphs(kernels):
     rng = random.Random(71)
     for _ in range(600):
         g = random_graph(rng, rng.randint(0, 16), rng.random() * 0.6)
-        assert _purecore.odd_girth(g.adj) == reference_odd_girth(g.adj)
+        assert kernels.odd_girth(g.adj) == reference_odd_girth(g.adj)
 
 
 @pytest.mark.parametrize(
@@ -82,7 +133,25 @@ def test_odd_girth_matches_reference_on_random_graphs():
     ],
     ids=lambda g: f"order{g.order}",
 )
-def test_odd_girth_matches_reference_around_64_vertices(graph):
+def test_odd_girth_matches_reference_around_64_vertices(kernels, graph):
     assert graph.order in (63, 64, 65)
-    assert _purecore.odd_girth(graph.adj) == reference_odd_girth(graph.adj)
+    if above_compiled_limit(kernels, graph.adj):
+        with pytest.raises(ValueError):
+            kernels.odd_girth(graph.adj)
+    else:
+        assert kernels.odd_girth(graph.adj) == reference_odd_girth(graph.adj)
+
+
+# A class rather than a parametrized fixture keeps the pure tests' IDs.
+class TestCompiled:
+    """Every test above, on the compiled kernels."""
+
+    @pytest.fixture
+    def kernels(self, fastcore):
+        return fastcore
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestCompiled, _name, staticmethod(_test))
 
