@@ -147,9 +147,29 @@ static int hs_propagate(HomSearch *s, u64 dirty)
     return 1;
 }
 
+/* Calls minima(fixed) and stores the mask it returns in *out; returns -1
+   with an exception set when the call or the conversion fails. */
+static int call_minima(PyObject *minima, u64 fixed, u64 *out)
+{
+    PyObject *arg = PyLong_FromUnsignedLongLong(fixed);
+    if (arg == NULL)
+        return -1;
+    PyObject *res = PyObject_CallOneArg(minima, arg);
+    Py_DECREF(arg);
+    if (res == NULL)
+        return -1;
+    *out = PyLong_AsUnsignedLongLong(res);
+    Py_DECREF(res);
+    return *out == (u64)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
 /* Branches on the unassigned vertex with the smallest domain (lowest index
-   on ties), values ascending; returns 1 with every domain a single value. */
-static int hs_assign(HomSearch *s, u64 unassigned)
+   on ties), values ascending; returns 1 with every domain a single value,
+   0 when there is none, and -1 when a minima call raised. minima (NULL for
+   none) is passed at the root and one level down only: once the first
+   value there fails, the rest are cut to the orbit minima of the
+   stabiliser of the root's value (of nothing at the root). */
+static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
 {
     if (!unassigned)
         return 1;
@@ -161,28 +181,49 @@ static int hs_assign(HomSearch *s, u64 unassigned)
             v = ctz(rest);
         }
     }
+    u64 assigned = full_mask(s->n_p) & ~unassigned;
+    PyObject *below = assigned ? NULL : minima;
     u64 saved[MAX_ORDER];
-    for (u64 vals = s->dom[v]; vals; vals &= vals - 1) {
+    u64 vals = s->dom[v];
+    while (vals) {
+        u64 bit = vals & -vals;
+        vals ^= bit;
         s->nodes++;
         memcpy(saved, s->dom, s->n_p * sizeof(u64));
-        s->dom[v] = vals & -vals;
-        if (hs_propagate(s, 1ULL << v) && hs_assign(s, unassigned & ~(1ULL << v)))
-            return 1;
+        s->dom[v] = bit;
+        if (hs_propagate(s, 1ULL << v)) {
+            int found = hs_assign(s, unassigned & ~(1ULL << v), below);
+            if (found)
+                return found;
+        }
         memcpy(s->dom, saved, s->n_p * sizeof(u64));
+        if (minima != NULL && vals) {
+            u64 keep;
+            if (call_minima(minima, assigned ? s->dom[ctz(assigned)] : 0, &keep) < 0)
+                return -1;
+            vals &= keep;
+            minima = NULL;
+        }
     }
     return 0;
 }
 
 PyDoc_STRVAR(hom_search_doc,
-"hom_search(p_adj, t_adj) -> (mapping or None, nodes)\n\n"
+"hom_search(p_adj, t_adj, minima=None) -> (mapping or None, nodes)\n\n"
 "Search for an edge-preserving map from pattern to target; the contract of\n"
-"degstab._purecore.hom_search.");
+"degstab._purecore.hom_search. minima, if not None, maps a mask F of target\n"
+"vertices to the mask of the least vertex of each orbit of the pointwise\n"
+"stabiliser of F in Aut(T); the search uses it to cut symmetric values at\n"
+"the root and one level down, which is exact and leaves the result unchanged.");
 
 static PyObject *hom_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     HomSearch s;
-    if (check_nargs("hom_search", nargs, 2) < 0)
+    if (nargs != 2 && nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "hom_search() expects 2 or 3 arguments, got %zd", nargs);
         return NULL;
+    }
+    PyObject *minima = nargs == 3 && args[2] != Py_None ? args[2] : NULL;
     int n_p = read_graph(args[0], s.p_adj);
     if (n_p < 0)
         return NULL;
@@ -199,7 +240,10 @@ static PyObject *hom_search(PyObject *self, PyObject *const *args, Py_ssize_t na
         s.dom[i] = full_mask(n_t);
     if (!hs_propagate(&s, full_mask(n_p)))
         return Py_BuildValue("(Oi)", Py_None, 0);
-    if (!hs_assign(&s, full_mask(n_p)))
+    int found = hs_assign(&s, full_mask(n_p), minima);
+    if (found < 0)
+        return NULL;
+    if (!found)
         return Py_BuildValue("(OL)", Py_None, s.nodes);
     int mapping[MAX_ORDER];
     for (int i = 0; i < n_p; i++)

@@ -24,7 +24,7 @@ from itertools import product
 __all__ = ["hom_search", "brute_hom", "color_search", "min_edits", "odd_girth"]
 
 
-def hom_search(p_adj, t_adj):
+def hom_search(p_adj, t_adj, minima=None):
     """Search for an edge-preserving map from pattern to target.
 
     Returns ``(mapping, nodes)``: ``mapping`` is a tuple over pattern
@@ -34,6 +34,22 @@ def hom_search(p_adj, t_adj):
     Backtracking with arc-consistency propagation after every assignment.
     Variable order: smallest live domain, lowest index on ties. Value
     order: ascending. Fully deterministic.
+
+    ``minima``, if given, maps a mask F of target vertices to the mask of
+    the least vertex of each orbit of the pointwise stabiliser of F in
+    Aut(T) (``backend.orbit_minima``). It is called only once the first
+    value at a level has failed, and only at two levels: at the root, with
+    F empty, and one level down, with F the root's value {x}; the rest of
+    that level's values are then cut to the minima. This is exact and
+    changes no result or witness. Composing a homomorphism with an
+    automorphism gives a homomorphism, and arc consistency commutes with
+    automorphisms, so the propagated root domains are Aut(T)-invariant and,
+    once x is assigned, Stab(x)-invariant. A value y that is not the least
+    of its orbit is then the image of a smaller value m of the same domain
+    under an automorphism that fixes everything already assigned, so y's
+    subtree has a solution only if m's has one. m comes earlier and failed,
+    so the cut subtrees hold no solution, the first solution found is the
+    same, and the node count can only fall.
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
@@ -50,7 +66,7 @@ def hom_search(p_adj, t_adj):
     if not _propagate(dom, p_nbrs, t_adj, union, (1 << n_p) - 1):
         return None, 0
     nodes = [0]
-    mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes)
+    mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes, minima)
     return mapping, nodes[0]
 
 
@@ -86,11 +102,12 @@ def _propagate(dom, p_nbrs, t_adj, union, dirty):
     return True
 
 
-def _assign(dom, p_nbrs, t_adj, union, assigned, nodes):
+def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima):
+    # minima is given at the root and one level down only (see hom_search).
     n_p = len(dom)
     all_mask = (1 << n_p) - 1
     if assigned == all_mask:
-        return tuple((d & -d).bit_length() - 1 for d in dom)
+        return tuple([(d & -d).bit_length() - 1 for d in dom])
     best_v = -1
     best_size = 1 << 62
     rest = all_mask & ~assigned
@@ -103,6 +120,7 @@ def _assign(dom, p_nbrs, t_adj, union, assigned, nodes):
             best_v = v
     v = best_v
     vals = dom[v]
+    below = None if assigned else minima
     while vals:
         bit = vals & -vals
         vals ^= bit
@@ -110,10 +128,15 @@ def _assign(dom, p_nbrs, t_adj, union, assigned, nodes):
         saved = dom[:]
         dom[v] = bit
         if _propagate(dom, p_nbrs, t_adj, union, 1 << v):
-            result = _assign(dom, p_nbrs, t_adj, union, assigned | (1 << v), nodes)
+            result = _assign(dom, p_nbrs, t_adj, union, assigned | (1 << v), nodes, below)
             if result is not None:
                 return result
         dom[:] = saved
+        if minima is not None and vals:
+            # The first value failed: keep one value per orbit of the
+            # stabiliser of the root's value (of nothing at the root).
+            vals &= minima(dom[assigned.bit_length() - 1] if assigned else 0)
+            minima = None
     return None
 
 

@@ -27,6 +27,19 @@ exhaustive search. The target's exact clique number comes from
 it is computed only when the pattern's greedy clique is larger than the
 target's, so a target that cannot refute the pattern costs no exact search.
 
+Otherwise both kernels get a third argument, ``minima``: a callable that
+maps a mask F of target vertices to the mask of the least vertex of each
+orbit of the pointwise stabiliser of F in Aut(T). The kernels use it to
+break value symmetry at the first two levels of the search; see
+``_purecore.hom_search`` for why this leaves every result and witness
+unchanged and can only lower the node count.
+
+The facts about one target sit in one record, ``_Target``, kept in a
+bounded memo keyed on the adjacency: its greedy clique size, computed when
+the record is made, and its exact clique number and orbit minima, computed
+the first time a search needs them. A call's result and node count depend
+on the pattern and the target only, never on what the memo holds.
+
 Set ``DEGSTAB_BACKEND=pure`` in the environment (before import) to force
 the pure kernels, e.g. for benchmarking.
 """
@@ -37,6 +50,7 @@ import os
 from functools import lru_cache
 
 from . import _purecore
+from ._purecore import _bits
 
 try:
     from . import _fastcore
@@ -48,9 +62,9 @@ if os.environ.get("DEGSTAB_BACKEND", "").strip().lower() in {"pure", "python"}:
 
 _FAST_MAX_ORDER = 64
 
-# Distinct target adjacencies whose clique number hom_search keeps. The
+# Distinct target adjacencies whose record hom_search keeps. The
 # benchmark workloads' hit rates are in BENCH_clique_refutation.json.
-_CLIQUE_MEMO_SIZE = 512
+_TARGET_MEMO_SIZE = 512
 
 _KERNELS = {
     "hom_search": 2,
@@ -88,17 +102,19 @@ _routed_hom_search = hom_search
 
 
 def hom_search(p_adj, t_adj):
-    """The routed ``hom_search`` kernel, or ``(None, 0)`` when the pattern
-    has a greedy clique larger than the target's clique number.
+    """``(None, 0)`` when the pattern has a greedy clique larger than the
+    target's clique number, else the routed ``hom_search`` kernel given the
+    target's orbit minima.
 
     The odd-girth refutation (odd girth of pattern below that of target)
     is deliberately absent: ``verify.check_hom_odd_girth`` tests exactly
     that lemma through this search, and would then only check itself.
     """
+    target = _target(tuple(t_adj))
     k = greedy_clique(p_adj).bit_count()
-    if k > greedy_clique(t_adj).bit_count() and k > _target_clique_number(tuple(t_adj)):
+    if k > target.greedy and k > target.clique_number():
         return None, 0
-    return _routed_hom_search(p_adj, t_adj)
+    return _routed_hom_search(p_adj, t_adj, target.minima)
 
 
 def greedy_clique(adj) -> int:
@@ -149,4 +165,182 @@ def clique_number(adj) -> int:
     return best
 
 
-_target_clique_number = lru_cache(maxsize=_CLIQUE_MEMO_SIZE)(clique_number)
+def orbits(adj, fixed: int = 0) -> list[int]:
+    """Orbits, as vertex masks in order of their least vertex, of the
+    automorphisms of a symmetric, loop-free adjacency that fix every vertex
+    of the mask ``fixed``.
+
+    Colour refinement with the fixed vertices individualised gives an
+    equitable partition that each such automorphism maps onto itself cell
+    by cell, so an orbit lies inside one cell and a singleton cell is a
+    fixed point. Inside the other cells a vertex joins the orbit of a
+    smaller one when an automorphism maps the smaller one onto it, found by
+    individualisation and refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014); each automorphism found merges all its cycles.
+    """
+    n = len(adj)
+    cells = [(1 << n) - 1] if n else []
+    for x in _bits(fixed):
+        cells = _individualise(cells, x)
+    cells = _refine(adj, cells)[0]
+    if len(cells) == n:
+        return [1 << v for v in range(n)]
+    least = list(range(n))  # union-find; each root is its set's least vertex
+
+    def find(v):
+        while least[v] != v:
+            v = least[v]
+        return v
+
+    for cell in cells:
+        members = list(_bits(cell))
+        for v in members[1:]:
+            for m in members:
+                if m >= v or find(v) != v:
+                    break
+                if find(m) != m:
+                    continue
+                sigma = _automorphism(adj, _individualise(cells, m), _individualise(cells, v))
+                if sigma is not None:
+                    for x, y in enumerate(sigma):
+                        a, b = find(x), find(y)
+                        least[max(a, b)] = min(a, b)
+    found: dict[int, int] = {}
+    for v in range(n):
+        root = find(v)
+        found[root] = found.get(root, 0) | 1 << v
+    return list(found.values())
+
+
+def orbit_minima(adj, fixed: int = 0) -> int:
+    """Mask of the least vertex of each orbit of :func:`orbits`."""
+    minima = 0
+    for orbit in orbits(adj, fixed):
+        minima |= orbit & -orbit
+    return minima
+
+
+def _individualise(cells: list[int], x: int) -> list[int]:
+    """The ordered partition with x split off, just before the rest of its cell."""
+    bit = 1 << x
+    out = []
+    for cell in cells:
+        if cell & bit and cell != bit:
+            out.append(bit)
+            cell ^= bit
+        out.append(cell)
+    return out
+
+
+def _refine(adj, cells: list[int]):
+    """The coarsest equitable refinement of an ordered partition, and a
+    trace of its splits.
+
+    Each cell in turn, in a queue that starts with every cell, splits every
+    cell by the number of neighbours its vertices have in it, the parts in
+    increasing order of that number. A part takes its cell's place in the
+    queue, or joins the end when the cell has left it, so each final cell
+    has been a splitter. Each step depends on positions and counts only, so
+    an isomorphism between two ordered partitions maps their refinements
+    onto each other cell by cell, with equal traces.
+    """
+    trace = []
+    queue = list(cells)
+    # A discrete partition, one vertex per cell, cannot split further.
+    while queue and len(cells) < len(adj):
+        splitter = queue.pop(0)
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                key = (adj[bit.bit_length() - 1] & splitter).bit_count()
+                parts[key] = parts.get(key, 0) | bit
+            if len(parts) == 1:
+                out.append(cell)
+                continue
+            keys = sorted(parts)
+            split = [parts[k] for k in keys]
+            trace.append((len(out), tuple([(k, parts[k].bit_count()) for k in keys])))
+            out += split
+            if cell in queue:
+                i = queue.index(cell)
+                queue[i : i + 1] = split
+            else:
+                queue += split
+        cells = out
+    return cells, trace
+
+
+def _automorphism(adj, left: list[int], right: list[int]):
+    """An automorphism, as a list of images, that maps each cell of the
+    ordered partition ``left`` onto the cell at the same place in ``right``,
+    or None when there is none.
+
+    Refines both sides; an isomorphism needs equal traces and equal
+    quotients, the neighbour counts from each cell into each cell. Then it
+    individualises the least vertex of the first non-singleton cell on the
+    left against each vertex of the matching cell on the right in turn. For
+    a discrete pair of partitions the quotients are the two adjacency
+    matrices in cell order, so their equality makes the map an automorphism.
+    """
+    left, trace = _refine(adj, left)
+    right, other = _refine(adj, right)
+    if trace != other or _quotient(adj, left) != _quotient(adj, right):
+        return None
+    for i, cell in enumerate(left):
+        if cell & (cell - 1):
+            pinned = _individualise(left, (cell & -cell).bit_length() - 1)
+            for y in _bits(right[i]):
+                sigma = _automorphism(adj, pinned, _individualise(right, y))
+                if sigma is not None:
+                    return sigma
+            return None
+    sigma = [0] * len(adj)
+    for a, b in zip(left, right):
+        sigma[a.bit_length() - 1] = b.bit_length() - 1
+    return sigma
+
+
+def _quotient(adj, cells: list[int]) -> list[list[int]]:
+    """Neighbours that a vertex of each cell has in each cell; one vertex
+    stands for its cell, as the partition is equitable."""
+    rows = []
+    for cell in cells:
+        nbrs = adj[(cell & -cell).bit_length() - 1]
+        rows.append([(nbrs & other).bit_count() for other in cells])
+    return rows
+
+
+class _Target:
+    """What ``hom_search`` knows about one target adjacency: its greedy
+    clique size, and, once a search has needed them, its exact clique
+    number and the orbit minima of each stabiliser asked for."""
+
+    __slots__ = ("adj", "greedy", "_omega", "_minima")
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.greedy = greedy_clique(adj).bit_count()
+        self._omega = None
+        self._minima: dict[int, int] = {}
+
+    def clique_number(self) -> int:
+        if self._omega is None:
+            self._omega = clique_number(self.adj)
+        return self._omega
+
+    def minima(self, fixed: int) -> int:
+        """``orbit_minima(adj, fixed)``, the kernels' ``minima`` argument."""
+        found = self._minima.get(fixed)
+        if found is None:
+            found = self._minima[fixed] = orbit_minima(self.adj, fixed)
+        return found
+
+
+_target = lru_cache(maxsize=_TARGET_MEMO_SIZE)(_Target)

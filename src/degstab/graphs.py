@@ -93,7 +93,7 @@ class Graph:
         full = (1 << self.order) - 1
         return Graph(
             self.order,
-            tuple((full & ~m & ~(1 << v)) for v, m in enumerate(self.adj)),
+            tuple([full & ~m & ~(1 << v) for v, m in enumerate(self.adj)]),
         )
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
@@ -155,7 +155,7 @@ def complete(n: int) -> Graph:
     if n < 0:
         raise InvalidParameterError("complete: n must be nonnegative")
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+    return Graph(n, tuple([full & ~(1 << v) for v in range(n)]))
 
 
 def cycle(n: int) -> Graph:
@@ -236,7 +236,7 @@ def balanced_blow_up(base: Graph, n: int) -> Graph:
     if n < base.order:
         raise InvalidParameterError("balanced_blow_up: n must be at least the base order")
     q, r = divmod(n, base.order)
-    weights = tuple(q + 1 if v < r else q for v in range(base.order))
+    weights = tuple([q + 1 if v < r else q for v in range(base.order)])
     return blow_up(Weighting(base, weights))
 
 

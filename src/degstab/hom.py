@@ -101,7 +101,7 @@ def _twin_reduction(adj: tuple[int, ...]):
             if u in pos:
                 m |= 1 << pos[u]
         reduced.append(m)
-    return tuple(reduced), tuple(alive), tuple(pos[rep[v]] for v in range(n))
+    return tuple(reduced), tuple(alive), tuple([pos[rep[v]] for v in range(n)])
 
 
 _target_reduction = lru_cache(maxsize=_REDUCTION_MEMO_SIZE)(_twin_reduction)
@@ -119,7 +119,7 @@ def homomorphism_search(pattern: Graph, target: Graph):
     raw, nodes = backend.hom_search(p_red, t_red)
     if raw is None:
         return None, nodes
-    witness = HomWitness(tuple(t_kept[raw[p_rep[v]]] for v in range(pattern.order)))
+    witness = HomWitness(tuple([t_kept[raw[p_rep[v]]] for v in range(pattern.order)]))
     if not witness.is_valid(pattern, target):
         raise AssertionError("solver produced an invalid witness")
     return witness, nodes
@@ -148,7 +148,7 @@ def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     colors = backend.color_search(reduced, k)
     if colors is None:
         return None
-    full = tuple(colors[rep[v]] for v in range(g.order))
+    full = tuple([colors[rep[v]] for v in range(g.order)])
     for u, v in g.edges():
         if full[u] == full[v]:
             raise AssertionError("coloring search produced an improper coloring")
@@ -161,7 +161,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
 
 def greedy_clique(g: Graph) -> tuple[int, ...]:
     """A maximal clique grown greedily by descending degree (ties by index)."""
-    return tuple(_bits(backend.greedy_clique(g.adj)))
+    return tuple([*_bits(backend.greedy_clique(g.adj))])
 
 
 def chromatic_number(g: Graph) -> int:

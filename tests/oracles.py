@@ -101,6 +101,23 @@ def max_clique_size(g: Graph) -> int:
     return best
 
 
+def orbits(g: Graph, fixed: tuple[int, ...] = ()) -> list[set[int]]:
+    """Orbits of the automorphisms fixing each vertex in ``fixed``, found by
+    trying all order! permutations (keep the order at most 7)."""
+    edges = edge_set(g)
+    autos = [
+        perm
+        for perm in itertools.permutations(range(g.order))
+        if all(perm[x] == x for x in fixed)
+        and all((perm[u], perm[v]) in edges for u, v in edges)
+    ]
+    out: list[set[int]] = []
+    for v in range(g.order):
+        if not any(v in orbit for orbit in out):
+            out.append({perm[v] for perm in autos})
+    return out
+
+
 def random_graph(rng: random.Random, order: int, p: float) -> Graph:
     edges = []
     for j in range(1, order):

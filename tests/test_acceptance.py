@@ -155,7 +155,9 @@ def test_criterion_09_solver_matches_enumeration(monkeypatch):
     searched = []
     kernel = backend._routed_hom_search
     monkeypatch.setattr(
-        backend, "_routed_hom_search", lambda p, t: searched.append(p) or kernel(p, t)
+        backend,
+        "_routed_hom_search",
+        lambda p, t, minima: searched.append(p) or kernel(p, t, minima),
     )
     with criterion(9, "solver equals map enumeration on <=5 x <=4 vertices", 600.0):
         patterns = list(CorpusSpec.exhaustive(5).graphs())

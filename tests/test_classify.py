@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from dataclasses import replace
@@ -325,6 +326,23 @@ class TestChromaticNumberOnce:
             classify(h)
             monkeypatch.undo()
             assert calls == [h]
+
+
+class TestRepeatedClassify:
+    def test_heap_stays_flat(self):
+        # tuple() of a generator allocates ten slots and shrinks to fit;
+        # freed, it parks on CPython's free list for its real length, which
+        # nothing drains at that rate, so each length can hold up to 2000
+        # idle tuples until a full collection. Hot paths build their tuples
+        # from lists, so repeating a job must not grow the heap.
+        h = gallery_graph("W5")
+        for _ in range(3):
+            classify(h).dumps()
+        gc.collect()
+        start = sys.getallocatedblocks()
+        for _ in range(300):
+            classify(h).dumps()
+        assert sys.getallocatedblocks() - start < 600
 
 
 class TestIntervalBranchSearch:

@@ -11,8 +11,10 @@ import pytest
 import degstab
 from degstab import _purecore, backend
 from degstab.backend import backend_name, has_compiled_backend
-from degstab.graphs import complete, cycle, join, wheel
+from degstab.graphs import complete, cycle, cycle_complement, join, wheel
 from degstab.hom import clique_number
+
+from tests.oracles import mycielskian
 
 # Kernel name -> number of leading graph arguments, then the extra ones.
 KERNELS = {
@@ -83,6 +85,9 @@ def test_order_64_goes_to_the_extension_unchanged(routed, name):
     assert (label, called) == ("stub", name)
     # The very tuples passed in, not copies converted to lists.
     assert all(a is b for a, b in zip(args[:graphs], sent))
+    if name == "hom_search":
+        # hom_search adds the target record's orbit minima.
+        extra = (backend._target(sent[1]).minima,)
     assert args[graphs:] == extra
 
 
@@ -149,17 +154,28 @@ def test_unrefuted_call_returns_what_the_kernel_returns(routed, env):
 def test_exact_clique_number_only_when_greedy_cannot_decide(routed, monkeypatch):
     routed("pure")
     exact = []
-    monkeypatch.setattr(
-        backend, "_target_clique_number", lambda adj: exact.append(adj) or backend.clique_number(adj)
-    )
+    real = backend.clique_number
+    monkeypatch.setattr(backend, "clique_number", lambda adj: exact.append(adj) or real(adj))
     # The target's greedy clique already matches the pattern's: no exact search.
     backend.hom_search(complete(3).adj, wheel(5).adj)
     assert exact == []
     assert backend.hom_search(complete(4).adj, wheel(5).adj) == (None, 0)
     assert exact == [wheel(5).adj]
+    # The record keeps it: the same refutation again runs no search.
+    assert backend.hom_search(complete(4).adj, wheel(5).adj) == (None, 0)
+    assert exact == [wheel(5).adj]
 
 
 def test_clique_number_of_any_graph_leaves_the_target_memo_alone():
-    backend._target_clique_number.cache_clear()
+    backend._target.cache_clear()
     assert clique_number(join(complete(2), cycle(7))) == 4
-    assert backend._target_clique_number.cache_info().currsize == 0
+    assert backend._target.cache_info().currsize == 0
+
+
+def test_result_does_not_depend_on_the_target_memo():
+    # M_1(C_7) -> C7bar does not exist, and symmetry cuts its search.
+    p, t = mycielskian(cycle(7), 1).adj, cycle_complement(7).adj
+    backend._target.cache_clear()
+    cold = backend.hom_search(p, t)
+    assert backend.hom_search(p, t) == cold
+    assert cold[0] is None and 0 < cold[1] < _purecore.hom_search(p, t)[1]

@@ -14,8 +14,10 @@ import random
 import pytest
 
 from degstab import _purecore
+from degstab.backend import orbit_minima
+from degstab.classify import scan_target
 from degstab.gallery import SEQUENCE, sequence_graph
-from degstab.graphs import complete, cycle, join, petersen, wheel
+from degstab.graphs import Graph, complete, cycle, cycle_complement, join, petersen, wheel
 
 from tests.oracles import (
     mycielskian,
@@ -110,6 +112,91 @@ def test_color_search_at_63_and_64_vertices(kernels, graph):
         if coloring is not None:
             assert all(0 <= c < k for c in coloring)
             assert all(coloring[u] != coloring[v] for u, v in graph.edges())
+
+
+def _minima(t_adj, calls):
+    """The target's orbit minima, as backend passes them, logging each F."""
+
+    def minima(fixed):
+        calls.append(fixed)
+        return orbit_minima(t_adj, fixed)
+
+    return minima
+
+
+def _restricted_agrees(kernels, p_adj, t_adj):
+    """Searches with and without orbit minima find the same mapping, the
+    restricted one in no more nodes; both kernel sets agree bit for bit."""
+    calls = []
+    got = kernels.hom_search(p_adj, t_adj, _minima(t_adj, calls))
+    plain = kernels.hom_search(p_adj, t_adj)
+    assert got[0] == plain[0]
+    assert got[1] <= plain[1]
+    assert got == _purecore.hom_search(p_adj, t_adj, _minima(t_adj, []))
+    return got, plain, calls
+
+
+def test_minima_leave_random_searches_unchanged(kernels):
+    rng = random.Random(72)
+    for _ in range(400):
+        p = random_graph(rng, rng.randint(1, 8), rng.random())
+        t = random_graph(rng, rng.randint(1, 7), rng.random())
+        got, _, calls = _restricted_agrees(kernels, p.adj, t.adj)
+        # Levels whose first value succeeds never ask for symmetry: with
+        # no failed node at all, minima is not called.
+        if got[0] is not None and got[1] == p.order:
+            assert calls == []
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_minima_leave_scan_target_searches_unchanged(kernels, r):
+    patterns = [
+        mycielskian(cycle(5), 1),
+        mycielskian(cycle(7), 1),
+        mycielskian(cycle(5), 2),
+        join(complete(1), petersen()),
+        join(complete(r - 3), cycle_complement(7)),
+    ]
+    targets = [scan_target("gallery-join", j, r) for j in range(1, len(SEQUENCE) + 1)]
+    targets += [scan_target(kind, g, r) for kind in ("odd-cycle", "cycle-join") for g in (1, 2, 3)]
+    pruned = 0
+    for pattern in patterns:
+        for target in targets:
+            got, plain, _ = _restricted_agrees(kernels, pattern.adj, target.adj)
+            pruned += got[1] < plain[1]
+    assert pruned > 0
+
+
+def test_minima_that_drop_an_orbit_are_caught_by_enumeration(kernels):
+    # K3 -> C5 + K3 (disjoint): the root's first value, on the C5, fails,
+    # and the triangle's orbit holds every solution.
+    p = complete(3).adj
+    t = Graph.from_edges(8, [(v, (v + 1) % 5) for v in range(5)] + [(5, 6), (5, 7), (6, 7)]).adj
+    assert _purecore.brute_hom(p, t)
+    assert kernels.hom_search(p, t, _minima(t, []))[0] == (5, 6, 7)
+
+    def drop_last_orbit(fixed):
+        minima = orbit_minima(t, fixed)
+        return minima & ~(1 << (minima.bit_length() - 1))
+
+    assert kernels.hom_search(p, t, drop_last_orbit)[0] is None
+
+
+def test_minima_are_not_called_when_the_first_values_succeed(kernels):
+    def fail(fixed):
+        raise AssertionError(f"minima({fixed}) called")
+
+    for p, t in [
+        (complete(3), wheel(5)),
+        (cycle(5), cycle_complement(7)),
+        (petersen(), complete(3)),
+        (mycielskian(cycle(5), 1), complete(4)),
+    ]:
+        assert kernels.hom_search(p.adj, t.adj, fail)[0] is not None
+    # K3 -> K2: the first root value fails, so the root asks, and an error
+    # raised by minima reaches the caller.
+    with pytest.raises(AssertionError, match=r"minima\(0\) called"):
+        kernels.hom_search(complete(3).adj, complete(2).adj, fail)
 
 
 def test_odd_girth_matches_reference_on_random_graphs(kernels):
