@@ -34,11 +34,14 @@ break value symmetry at the first two levels of the search; see
 ``_purecore.hom_search`` for why this leaves every result and witness
 unchanged and can only lower the node count.
 
-The facts about one target sit in one record, ``_Target``, kept in a
-bounded memo keyed on the adjacency: its greedy clique size, computed when
-the record is made, and its exact clique number and orbit minima, computed
-the first time a search needs them. A call's result and node count depend
-on the pattern and the target only, never on what the memo holds.
+What the package knows about one adjacency sits in one record,
+``prepared(adj)``, kept in one bounded memo: its twin reduction, greedy
+clique size, exact clique number and orbit minima, each computed the first
+time it is needed. ``hom`` reads the reductions of both sides of a search
+from their records, and ``hom_search`` reads the pattern's greedy clique
+size and the target's other facts. A reduced adjacency is its own
+reduction, so a twin-free graph has one record. A call's result and node
+count depend on its arguments only, never on what the memo holds.
 
 Set ``DEGSTAB_BACKEND=pure`` in the environment (before import) to force
 the pure kernels, e.g. for benchmarking.
@@ -46,8 +49,8 @@ the pure kernels, e.g. for benchmarking.
 
 from __future__ import annotations
 
+import functools
 import os
-from functools import lru_cache
 
 from . import _purecore
 from ._purecore import _bits
@@ -62,9 +65,9 @@ if os.environ.get("DEGSTAB_BACKEND", "").strip().lower() in {"pure", "python"}:
 
 _FAST_MAX_ORDER = 64
 
-# Distinct target adjacencies whose record hom_search keeps. The
-# benchmark workloads' hit rates are in BENCH_clique_refutation.json.
-_TARGET_MEMO_SIZE = 512
+# Distinct adjacencies whose record ``prepared`` keeps. The benchmark
+# workloads' hit rates are in BENCH_prepared.json.
+_PREPARED_MEMO_SIZE = 512
 
 _KERNELS = {
     "hom_search": 2,
@@ -110,9 +113,9 @@ def hom_search(p_adj, t_adj):
     is deliberately absent: ``verify.check_hom_odd_girth`` tests exactly
     that lemma through this search, and would then only check itself.
     """
-    target = _target(tuple(t_adj))
-    k = greedy_clique(p_adj).bit_count()
-    if k > target.greedy and k > target.clique_number():
+    target = prepared(tuple(t_adj))
+    k = prepared(tuple(p_adj)).greedy
+    if k > target.greedy and k > target.omega:
         return None, 0
     return _routed_hom_search(p_adj, t_adj, target.minima)
 
@@ -317,30 +320,65 @@ def _quotient(adj, cells: list[int]) -> list[list[int]]:
     return rows
 
 
-class _Target:
-    """What ``hom_search`` knows about one target adjacency: its greedy
-    clique size, and, once a search has needed them, its exact clique
-    number and the orbit minima of each stabiliser asked for."""
+def _twin_reduction(adj: tuple[int, ...]):
+    """Drop all but the lowest-indexed vertex of each twin class, the
+    vertices with one neighbourhood.
 
-    __slots__ = ("adj", "greedy", "_omega", "_minima")
+    Returns the tuples (reduced adjacency, kept original indices,
+    original-to-kept representative map). One pass leaves no twins: if
+    two kept vertices differ on a dropped vertex, they differ on its kept
+    twin, which has the same neighbours.
+    """
+    first: dict[int, int] = {}
+    rep = [first.setdefault(mask, v) for v, mask in enumerate(adj)]
+    kept = list(first.values())
+    pos = {v: i for i, v in enumerate(kept)}
+    return _induced(adj, kept), tuple(kept), tuple([pos[v] for v in rep])
+
+
+def _induced(adj, kept: list[int]) -> tuple[int, ...]:
+    """Adjacency of the subgraph induced on the increasing vertex list
+    ``kept``, relabelled densely in that order."""
+    pos = {v: i for i, v in enumerate(kept)}
+    masks = []
+    for v in kept:
+        m = 0
+        for u in _bits(adj[v]):
+            if u in pos:
+                m |= 1 << pos[u]
+        masks.append(m)
+    return tuple(masks)
+
+
+class _Prepared:
+    """What the package knows about one adjacency, each fact computed the
+    first time it is asked for: ``reduction``, the tuples of
+    :func:`_twin_reduction`; ``greedy``, the size of its greedy clique;
+    ``omega``, its clique number; and ``minima(fixed)``, the kernels'
+    ``minima`` argument."""
 
     def __init__(self, adj):
         self.adj = adj
-        self.greedy = greedy_clique(adj).bit_count()
-        self._omega = None
         self._minima: dict[int, int] = {}
 
-    def clique_number(self) -> int:
-        if self._omega is None:
-            self._omega = clique_number(self.adj)
-        return self._omega
+    @functools.cached_property
+    def reduction(self):
+        return _twin_reduction(self.adj)
+
+    @functools.cached_property
+    def greedy(self) -> int:
+        return greedy_clique(self.adj).bit_count()
+
+    @functools.cached_property
+    def omega(self) -> int:
+        return clique_number(self.adj)
 
     def minima(self, fixed: int) -> int:
-        """``orbit_minima(adj, fixed)``, the kernels' ``minima`` argument."""
+        """``orbit_minima(adj, fixed)``."""
         found = self._minima.get(fixed)
         if found is None:
             found = self._minima[fixed] = orbit_minima(self.adj, fixed)
         return found
 
 
-_target = lru_cache(maxsize=_TARGET_MEMO_SIZE)(_Target)
+prepared = functools.lru_cache(maxsize=_PREPARED_MEMO_SIZE)(_Prepared)

@@ -282,24 +282,34 @@ class DeltaResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "DeltaResult":
+        def integer(value):
+            # JSON true and false load as bool, a subclass of int.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{value!r} is not an integer")
+            return value
+
         def frac(obj):
-            return None if obj is None else Fraction(obj["num"], obj["den"])
+            return None if obj is None else Fraction(integer(obj["num"]), integer(obj["den"]))
 
         try:
             return cls(
-                r=data["r"],
+                r=integer(data["r"]),
                 branch=data["branch"],
-                index=data["index"],
+                index=integer(data["index"]),
                 value=frac(data["value"]),
                 lower=frac(data["lower"]),
                 upper=frac(data["upper"]),
                 certificate=tuple(
-                    CertificateEntry(e["kind"], e["index"], HomWitness(tuple(e["mapping"])))
+                    CertificateEntry(
+                        e["kind"],
+                        integer(e["index"]),
+                        HomWitness(tuple([integer(x) for x in e["mapping"]])),
+                    )
                     for e in data["certificate"]
                 ),
-                nodes_expanded=data["nodes_expanded"],
+                nodes_expanded=integer(data["nodes_expanded"]),
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ZeroDivisionError) as e:
             raise ParseError(f"malformed threshold result: {e}") from None
 
     def dumps(self) -> str:

@@ -196,7 +196,7 @@ def _decode_json(text: str) -> Graph:
     if set(data) != {"order", "edges"}:
         raise ParseError('JSON object must have exactly the keys "order" and "edges"', 0)
     n = data["order"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError('"order" must be a nonnegative integer', 0)
     raw = data["edges"]
     if not isinstance(raw, list):

@@ -13,14 +13,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import backend
+from ._purecore import _bits
 from .errors import InvalidParameterError
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -101,15 +95,7 @@ class Graph:
         keep = sorted(set(vertices))
         for v in keep:
             self._check_vertex(v)
-        pos = {v: i for i, v in enumerate(keep)}
-        masks = []
-        for v in keep:
-            m = 0
-            for u in _bits(self.adj[v]):
-                if u in pos:
-                    m |= 1 << pos[u]
-            masks.append(m)
-        return Graph(len(keep), tuple(masks))
+        return Graph(len(keep), backend._induced(self.adj, keep))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:

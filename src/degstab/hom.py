@@ -12,19 +12,19 @@ sides ("twin reduction"). This is exact: twins are non-adjacent, share all
 constraints, and any solution can be rewritten so they agree, so existence
 is unaffected; a witness on the reduced graphs extends by copying the
 representative's image. The reduction collapses blow-ups back to their
-bases, which keeps blow-up-invariance properties cheap to exercise. Search
-targets recur (scan targets, the verify suites' cycles), so a target's
-reduction is memoized on its adjacency.
+bases, which keeps blow-up-invariance properties cheap to exercise. Each
+graph's reduction is kept in its record in :mod:`degstab.backend`, which
+is memoized on the adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _purecore, backend
+from ._purecore import _bits
 from .errors import InvalidParameterError
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 __all__ = [
     "HomWitness",
@@ -58,55 +58,6 @@ class HomWitness:
         return True
 
 
-# Distinct target adjacencies whose twin reduction is kept.
-_REDUCTION_MEMO_SIZE = 512
-
-
-def _twin_reduction(adj: tuple[int, ...]):
-    """Drop all but the lowest-indexed vertex of each twin class.
-
-    Returns the tuples (reduced adjacency, kept original indices,
-    original-to-kept representative map). Iterates to a fixpoint because
-    removals can create new twins.
-    """
-    n = len(adj)
-    alive = list(range(n))
-    rep = list(range(n))
-    while True:
-        groups: dict[int, int] = {}
-        alive_mask = 0
-        for v in alive:
-            alive_mask |= 1 << v
-        dropped = []
-        for v in alive:
-            key = adj[v] & alive_mask
-            if key in groups:
-                rep[v] = groups[key]
-                dropped.append(v)
-            else:
-                groups[key] = v
-        if not dropped:
-            break
-        gone = set(dropped)
-        alive = [v for v in alive if v not in gone]
-    # Resolve representative chains created across rounds.
-    for v in range(n):
-        while rep[rep[v]] != rep[v]:
-            rep[v] = rep[rep[v]]
-    pos = {v: i for i, v in enumerate(alive)}
-    reduced = []
-    for v in alive:
-        m = 0
-        for u in _bits(adj[v]):
-            if u in pos:
-                m |= 1 << pos[u]
-        reduced.append(m)
-    return tuple(reduced), tuple(alive), tuple([pos[rep[v]] for v in range(n)])
-
-
-_target_reduction = lru_cache(maxsize=_REDUCTION_MEMO_SIZE)(_twin_reduction)
-
-
 def homomorphism_search(pattern: Graph, target: Graph):
     """Exact search for pattern -> target.
 
@@ -114,8 +65,8 @@ def homomorphism_search(pattern: Graph, target: Graph):
     homomorphism exists: either the clique bound refuted it (nodes 0) or
     the search space was exhausted.
     """
-    p_red, _, p_rep = _twin_reduction(pattern.adj)
-    t_red, t_kept, _ = _target_reduction(target.adj)
+    p_red, _, p_rep = backend.prepared(pattern.adj).reduction
+    t_red, t_kept, _ = backend.prepared(target.adj).reduction
     raw, nodes = backend.hom_search(p_red, t_red)
     if raw is None:
         return None, nodes
@@ -144,7 +95,7 @@ def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
         return ()
     if k == 0:
         return None
-    reduced, _, rep = _twin_reduction(g.adj)
+    reduced, _, rep = backend.prepared(g.adj).reduction
     colors = backend.color_search(reduced, k)
     if colors is None:
         return None
@@ -170,7 +121,7 @@ def chromatic_number(g: Graph) -> int:
         return 0
     if g.edge_count == 0:
         return 1
-    k = max(2, len(greedy_clique(g)))
+    k = max(2, backend.prepared(g.adj).greedy)
     while not is_k_colorable(g, k):
         k += 1
     return k

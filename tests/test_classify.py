@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import sys
 from dataclasses import replace
@@ -255,6 +256,35 @@ class TestResultSerialization:
             DeltaResult.loads("{nope")
         with pytest.raises(ParseError):
             DeltaResult.loads('{"branch": "gallery"}')
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("r",), "3"),
+            (("r",), True),
+            (("index",), 3.0),
+            (("nodes_expanded",), None),
+            (("certificate", 0, "index"), "1"),
+            (("certificate", 1, "mapping", 2), 1.0),
+            (("certificate", 0, "mapping", 0), False),
+            (("value", "num"), "4"),
+            (("value", "den"), 0),
+        ],
+    )
+    def test_non_integer_fields_are_rejected(self, path, bad):
+        h = gallery_graph("W5")
+        text = classify(h).dumps()
+        assert DeltaResult.loads(text).validate(h)
+        data = json.loads(text)
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+        with pytest.raises(ParseError):
+            DeltaResult.from_json(data)
+        with pytest.raises(ParseError):
+            DeltaResult.loads(json.dumps(data))
 
 
 class TestCertificateCompleteness:

@@ -110,6 +110,10 @@ class TestJson:
         with pytest.raises(ParseError):
             decode('{"order": -1, "edges": []}', "json")
         with pytest.raises(ParseError):
+            decode('{"order": true, "edges": []}', "json")
+        with pytest.raises(ParseError):
+            decode('{"order": false, "edges": []}', "json")
+        with pytest.raises(ParseError):
             decode('{"order": 2, "edges": [[0, 1], [1, 0]]}', "json")
         with pytest.raises(ParseError):
             decode('{"order": 2, "edges": [[0, true]]}', "json")

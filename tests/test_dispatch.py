@@ -11,8 +11,8 @@ import pytest
 import degstab
 from degstab import _purecore, backend
 from degstab.backend import backend_name, has_compiled_backend
-from degstab.graphs import complete, cycle, cycle_complement, join, wheel
-from degstab.hom import clique_number
+from degstab.graphs import Graph, Weighting, blow_up, complete, cycle, cycle_complement, join, wheel
+from degstab.hom import chromatic_number, clique_number, find_coloring, homomorphism_search
 
 from tests.oracles import mycielskian
 
@@ -87,7 +87,7 @@ def test_order_64_goes_to_the_extension_unchanged(routed, name):
     assert all(a is b for a, b in zip(args[:graphs], sent))
     if name == "hom_search":
         # hom_search adds the target record's orbit minima.
-        extra = (backend._target(sent[1]).minima,)
+        extra = (backend.prepared(sent[1]).minima,)
     assert args[graphs:] == extra
 
 
@@ -167,15 +167,32 @@ def test_exact_clique_number_only_when_greedy_cannot_decide(routed, monkeypatch)
 
 
 def test_clique_number_of_any_graph_leaves_the_target_memo_alone():
-    backend._target.cache_clear()
+    backend.prepared.cache_clear()
     assert clique_number(join(complete(2), cycle(7))) == 4
-    assert backend._target.cache_info().currsize == 0
+    assert backend.prepared.cache_info().currsize == 0
 
 
 def test_result_does_not_depend_on_the_target_memo():
     # M_1(C_7) -> C7bar does not exist, and symmetry cuts its search.
     p, t = mycielskian(cycle(7), 1).adj, cycle_complement(7).adj
-    backend._target.cache_clear()
+    backend.prepared.cache_clear()
     cold = backend.hom_search(p, t)
     assert backend.hom_search(p, t) == cold
     assert cold[0] is None and 0 < cold[1] < _purecore.hom_search(p, t)[1]
+    # Through hom, with the memo cleared before each call that reads a
+    # pattern's record: K4 is refuted by its clique, and the blow-up of
+    # M_1(C_7) has twins, so its search reads two records.
+    twins = blow_up(Weighting(mycielskian(cycle(7), 1), (2,) + (1,) * 14))
+    calls = [
+        lambda: homomorphism_search(Graph(len(p), p), Graph(len(t), t)),
+        lambda: homomorphism_search(twins, cycle_complement(7)),
+        lambda: homomorphism_search(complete(4), cycle_complement(7)),
+        lambda: homomorphism_search(complete(3), cycle_complement(7)),
+        lambda: chromatic_number(twins),
+        lambda: find_coloring(twins, 4),
+    ]
+    warm = [call() for call in calls]
+    assert warm[0] == warm[1] == (None, cold[1]) and warm[2] == (None, 0)
+    for call, expected in zip(calls, warm):
+        backend.prepared.cache_clear()
+        assert call() == expected

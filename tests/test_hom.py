@@ -25,10 +25,11 @@ from degstab import (
     petersen,
     wheel,
 )
-from degstab import hom
+from degstab import backend
 from degstab.errors import InvalidParameterError
 from degstab.gallery import gallery_graph
 from degstab.hom import greedy_clique
+from degstab.verify import CorpusSpec, check_hom_odd_girth
 from tests import oracles
 
 
@@ -52,12 +53,18 @@ class TestHomomorphism:
         assert witness is not None and witness.is_valid(complete(3), wheel(5))
         assert nodes > 0
 
-    def test_target_reduced_once(self):
-        hom._target_reduction.cache_clear()
-        for p in (cycle(7), cycle(9), petersen()):
-            homomorphism_search(p, cycle(5))
-        info = hom._target_reduction.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_no_adjacency_is_reduced_twice(self, monkeypatch):
+        # Patterns and targets alike: the verify probe searches each
+        # non-bipartite corpus graph into three cycles, and chromatic_number tries k = 2 and 3 on
+        # Petersen.
+        reduced = []
+        real = backend._twin_reduction
+        monkeypatch.setattr(backend, "_twin_reduction", lambda adj: reduced.append(adj) or real(adj))
+        backend.prepared.cache_clear()
+        check_hom_odd_girth(CorpusSpec.exhaustive(4), 3)
+        assert chromatic_number(petersen()) == 3
+        assert petersen().adj in reduced and cycle(5).adj in reduced
+        assert len(reduced) == len(set(reduced))
 
     def test_c7_into_c5(self):
         # derived by full enumeration before trusting the solver
@@ -117,6 +124,19 @@ class TestHomomorphism:
         c5_doubled = blow_up(Weighting(cycle(5), (2,) * 5))
         w = has_homomorphism(c5_doubled, cycle(5))
         assert w is not None and w.is_valid(c5_doubled, cycle(5))
+
+    def test_twin_reduction_keeps_the_least_vertex_of_each_class(self):
+        rng = random.Random(12)
+        graphs = [blow_up(Weighting(cycle(5), (3, 1, 2, 1, 2))), empty_graph(4), complete(4)]
+        graphs += [oracles.random_graph(rng, rng.randint(0, 10), rng.random()) for _ in range(300)]
+        for g in graphs:
+            reduced, kept, rep = backend._twin_reduction(g.adj)
+            # The least vertex of each neighbourhood, in increasing order.
+            assert list(kept) == sorted({g.adj.index(mask) for mask in g.adj})
+            assert all(g.adj[kept[rep[v]]] == g.adj[v] for v in range(g.order))
+            assert Graph(len(kept), reduced) == g.induced(kept)
+            # No twins are left.
+            assert len(set(reduced)) == len(reduced)
 
     def test_deterministic_witness(self):
         a, n_a = homomorphism_search(cycle(9), cycle(5))
