@@ -8,7 +8,9 @@ strict: out-of-range bytes, wrong lengths and nonzero padding bits are all
 parse errors carrying a byte offset.
 
 The edge-list format is a "n m" header line followed by m lines "u v" with
-0-indexed endpoints. JSON is {"order": n, "edges": [[u, v], ...]}.
+0-indexed endpoints. JSON is {"order": n, "edges": [[u, v], ...]}. Both
+decoders refuse orders above graph6's bound as unsupported, so a short
+header cannot ask for an arbitrarily large graph.
 """
 
 from __future__ import annotations
@@ -159,23 +161,14 @@ def _decode_edge_list(text: str) -> Graph:
         if len(tokens) > 2 + 2 * m:
             raise ParseError("trailing tokens after edge list", tokens[2 + 2 * m][1])
         raise ParseError(f"expected {m} edges", end)
-    seen = set()
-    edges = []
-    for e in range(m):
-        u, off_u = take(2 + 2 * e, f"edge {e} endpoint")
-        v, off_v = take(3 + 2 * e, f"edge {e} endpoint")
-        if not 0 <= u < n:
-            raise ParseError(f"endpoint {u} out of range", off_u)
-        if not 0 <= v < n:
-            raise ParseError(f"endpoint {v} out of range", off_v)
-        if u == v:
-            raise ParseError(f"self-loop at {u}", off_u)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {u}-{v}", off_u)
-        seen.add(key)
-        edges.append(key)
-    return Graph.from_edges(n, edges)
+
+    def pairs():
+        for e in range(m):
+            u, off_u = take(2 + 2 * e, f"edge {e} endpoint")
+            v, off_v = take(3 + 2 * e, f"edge {e} endpoint")
+            yield u, v, off_u, off_v
+
+    return _from_pairs(n, pairs())
 
 
 def _encode_json(g: Graph) -> str:
@@ -201,8 +194,6 @@ def _decode_json(text: str) -> Graph:
     raw = data["edges"]
     if not isinstance(raw, list):
         raise ParseError('"edges" must be a list', 0)
-    seen = set()
-    edges = []
     for e in raw:
         if (
             not isinstance(e, list)
@@ -210,14 +201,26 @@ def _decode_json(text: str) -> Graph:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
         ):
             raise ParseError(f"edge {e!r} must be a pair of integers", 0)
-        u, v = e
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge {u}-{v} out of range", 0)
+    return _from_pairs(n, ((u, v, 0, 0) for u, v in raw))
+
+
+def _from_pairs(n: int, pairs) -> Graph:
+    """The graph of order ``n`` on edges given as ``(u, v, offset of u,
+    offset of v)``; an out-of-range endpoint, a self-loop or a repeated
+    edge is a parse error at its offset. Orders above graph6's bound are
+    refused before anything is allocated."""
+    if n > _G6_MAX_ORDER:
+        raise UnsupportedError(f"orders above {_G6_MAX_ORDER} are not supported")
+    masks = [0] * n
+    for u, v, off_u, off_v in pairs:
+        if not 0 <= u < n:
+            raise ParseError(f"endpoint {u} out of range", off_u)
+        if not 0 <= v < n:
+            raise ParseError(f"endpoint {v} out of range", off_v)
         if u == v:
-            raise ParseError(f"self-loop at {u}", 0)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {u}-{v}", 0)
-        seen.add(key)
-        edges.append(key)
-    return Graph.from_edges(n, edges)
+            raise ParseError(f"self-loop at {u}", off_u)
+        if (masks[u] >> v) & 1:
+            raise ParseError(f"duplicate edge {u}-{v}", off_u)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))

@@ -155,7 +155,6 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "checked": self.checked,
-            "elapsed": self.elapsed,
             "suite": self.suite,
             "violations": [
                 {

@@ -15,7 +15,8 @@ def fastcore(tmp_path_factory):
     """The compiled kernels: the installed ``degstab._fastcore`` if it
     imports, else one compiled from the C source into a temporary directory
     and loaded without entering ``sys.modules``. Skips only when there is no
-    C compiler or no ``Python.h``; a compile error fails the test."""
+    C compiler or no ``Python.h``; a compile error fails the test, and so
+    does a warning when the compiler is gcc or clang (``-Wall -Werror``)."""
     try:
         from degstab import _fastcore
     except ImportError:
@@ -31,8 +32,11 @@ def fastcore(tmp_path_factory):
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
 
+    compiler = Path(shlex.split(cc)[0]).name
+    strict = ["-Wall", "-Werror"] if "gcc" in compiler or "clang" in compiler else []
     out = tmp_path_factory.mktemp("fastcore")
-    dist = Distribution({"ext_modules": [Extension("degstab._fastcore", [str(SOURCE)])]})
+    ext = Extension("degstab._fastcore", [str(SOURCE)], extra_compile_args=strict)
+    dist = Distribution({"ext_modules": [ext]})
     cmd = build_ext(dist)
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "temp")

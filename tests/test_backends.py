@@ -30,6 +30,12 @@ def test_hom_search_parity_including_witnesses_and_counts(fastcore):
         p = random_adj(rng, rng.randint(0, 7), rng.random())
         t = random_adj(rng, rng.randint(0, 6), rng.random())
         assert _purecore.hom_search(p, t) == fastcore.hom_search(p, t)
+    # 9-vertex patterns into C5 and C7.
+    rng = random.Random(11)
+    for _ in range(150):
+        for t in (cycle(5).adj, cycle(7).adj):
+            p = random_adj(rng, 9, 0.35)
+            assert _purecore.hom_search(p, t) == fastcore.hom_search(p, t)
 
 
 def test_color_search_parity(fastcore):
@@ -38,6 +44,12 @@ def test_color_search_parity(fastcore):
         g = random_adj(rng, rng.randint(0, 10), rng.random())
         k = rng.randint(1, 5)
         assert _purecore.color_search(g, k) == fastcore.color_search(g, k)
+    # 14-vertex graphs at k = 3 and 4.
+    rng = random.Random(13)
+    for _ in range(120):
+        g = random_adj(rng, 14)
+        for k in (3, 4):
+            assert _purecore.color_search(g, k) == fastcore.color_search(g, k)
 
 
 def test_min_edits_parity(fastcore):
@@ -46,12 +58,23 @@ def test_min_edits_parity(fastcore):
         g = random_adj(rng, rng.randint(0, 9), rng.random())
         k = rng.randint(1, 4)
         assert _purecore.min_edits(g, k) == fastcore.min_edits(g, k)
+    # 13-vertex graphs at k = 2 and 3.
+    rng = random.Random(14)
+    for _ in range(30):
+        g = random_adj(rng, 13)
+        for k in (2, 3):
+            assert _purecore.min_edits(g, k) == fastcore.min_edits(g, k)
 
 
 def test_odd_girth_parity(fastcore):
     rng = random.Random(64)
     for _ in range(400):
         g = random_adj(rng, rng.randint(0, 12), rng.random())
+        assert _purecore.odd_girth(g) == fastcore.odd_girth(g)
+    # Sparse 16-vertex graphs.
+    rng = random.Random(15)
+    for _ in range(3000):
+        g = random_adj(rng, 16, 0.25)
         assert _purecore.odd_girth(g) == fastcore.odd_girth(g)
 
 

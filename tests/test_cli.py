@@ -136,6 +136,16 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["checked"] == 50 and data["violations"] == []
 
+    def test_json_is_byte_identical_across_runs(self, capsys):
+        args = ["verify", "odd-girth", "--corpus", "exhaustive:4", "--json"]
+        outputs = []
+        for _ in range(2):
+            assert main(args) == 0
+            out = capsys.readouterr()
+            assert "elapsed" in out.err
+            outputs.append(out.out)
+        assert outputs[0] == outputs[1]
+
     def test_properties_suite(self, capsys):
         assert main(["verify", "properties:3"]) == 0
 

@@ -85,12 +85,19 @@ class TestEdgeList:
             decode("3 2\n0 1", "edge-list")  # fewer edges than promised
         err = pytest.raises(ParseError, decode, "3 1\n0 1\n1 2", "edge-list").value
         assert err.offset == 8  # trailing tokens start at the second edge
-        with pytest.raises(ParseError):
-            decode("3 1\n0 3", "edge-list")  # endpoint out of range
-        with pytest.raises(ParseError):
-            decode("3 1\n1 1", "edge-list")  # self-loop
-        with pytest.raises(ParseError):
-            decode("3 2\n0 1\n1 0", "edge-list")  # duplicate edge
+        err = pytest.raises(ParseError, decode, "3 1\n0 3", "edge-list").value
+        assert err.offset == 6  # endpoint out of range
+        err = pytest.raises(ParseError, decode, "3 1\n1 1", "edge-list").value
+        assert err.offset == 4  # self-loop
+        err = pytest.raises(ParseError, decode, "3 2\n0 1\n1 0", "edge-list").value
+        assert err.offset == 8  # duplicate edge
+
+    def test_order_bound(self):
+        # graph6's bound holds in every format.
+        for n in (2000000, 258048):
+            with pytest.raises(UnsupportedError):
+                decode(f"{n} 0", "edge-list")
+        assert decode("258047 1\n0 258046", "edge-list").order == 258047
 
 
 class TestJson:
@@ -119,6 +126,14 @@ class TestJson:
             decode('{"order": 2, "edges": [[0, true]]}', "json")
         with pytest.raises(ParseError):
             decode('{"order": 2, "edges": [[0, 0]]}', "json")
+        with pytest.raises(ParseError):
+            decode('{"order": 2, "edges": [[0, 2]]}', "json")
+
+    def test_order_bound(self):
+        for n in (2000000, 258048):
+            with pytest.raises(UnsupportedError):
+                decode(f'{{"order": {n}, "edges": []}}', "json")
+        assert decode('{"order": 258047, "edges": []}', "json").order == 258047
 
 
 class TestRoundTrips:

@@ -46,7 +46,7 @@ def test_hom_search_matches_reference_on_random_pairs(kernels):
         assert kernels.hom_search(p.adj, t.adj) == reference_hom_search(p.adj, t.adj)
 
 
-@pytest.mark.parametrize("r", [3, 4, 5, 6])
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
 def test_hom_search_matches_reference_on_clique_refutations(kernels, r):
     # K_{r+1} -> K_{r-3} v W5 has no homomorphism; the search must refute
     # it with exactly the reference's node count.
