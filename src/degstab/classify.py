@@ -95,9 +95,7 @@ def cycle_join_threshold(r: int, g: int) -> Fraction:
 
 def interval_upper(r: int) -> Fraction:
     # Fixed at the last table constant, 1/7; the scan has no thirteenth entry.
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
-    return 1 - 1 / (r - 1 + Fraction(1, 7))
+    return degree_threshold(r, len(CONSTANT_TABLE))
 
 
 def scan_target(kind: str, index: int, r: int) -> Graph:

@@ -2,10 +2,13 @@
 
 graph6 is bit-exact: the order header is followed by the upper triangle of
 the adjacency matrix read column by column, packed big-endian into 6-bit
-groups, each offset by 63. Orders up to 258047 (the three-byte header form)
-are supported; the eight-byte form is rejected as unsupported. Decoding is
-strict: out-of-range bytes, wrong lengths and nonzero padding bits are all
-parse errors carrying a byte offset.
+groups, each offset by 63. Both directions hold that triangle as one string
+of n(n-1)/2 "0"/"1" characters, column j being bits 0..j-1 of vertex j's
+mask, and cut it into or rebuild it from 6-character chunks. Orders up to
+258047 (the three-byte header form) are supported; the eight-byte form is
+rejected as unsupported. Decoding is strict: out-of-range bytes, wrong
+lengths and nonzero padding bits are all parse errors carrying a byte
+offset.
 
 The edge-list format is a "n m" header line followed by m lines "u v" with
 0-indexed endpoints. JSON is {"order": n, "edges": [[u, v], ...]}. Both
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 
+from ._purecore import _bits
 from .errors import InvalidParameterError, ParseError, UnsupportedError
 from .graphs import Graph
 
@@ -47,13 +51,6 @@ def decode(text: str, fmt: str) -> Graph:
     raise InvalidParameterError(f"unknown format {fmt!r}")
 
 
-def _pair_order(n: int):
-    # Column order of the upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
-
-
 def _encode_graph6(g: Graph) -> str:
     n = g.order
     if n > _G6_MAX_ORDER:
@@ -62,19 +59,11 @@ def _encode_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    chunks = []
-    acc = 0
-    nbits = 0
-    for i, j in _pair_order(n):
-        acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-        nbits += 1
-        if nbits == 6:
-            chunks.append(chr(63 + acc))
-            acc = 0
-            nbits = 0
-    if nbits:
-        chunks.append(chr(63 + (acc << (6 - nbits))))
-    return head + "".join(chunks)
+    # Column j holds the pairs (0, j), ..., (j - 1, j): bits 0..j-1 of adj[j].
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = (chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+    return head + "".join(body)
 
 
 def _decode_graph6(text: str) -> Graph:
@@ -111,23 +100,17 @@ def _decode_graph6(text: str) -> Graph:
         raise ParseError("graph6 body too short", base + len(body))
     if have > need:
         raise ParseError("trailing bytes after graph6 body", base + pos + need)
+    bits = "".join(format(ord(c) - 63, "06b") for c in body[pos:])
+    pad = bits.find("1", npairs)
+    if pad >= 0:
+        raise ParseError("nonzero padding bits", base + pos + pad // 6)
     masks = [0] * n
-    bit_index = 0
-    pairs = _pair_order(n)
-    for k in range(need):
-        group = ord(body[pos + k]) - 63
-        for b in range(5, -1, -1):
-            if bit_index >= npairs:
-                if (group >> b) & 1:
-                    raise ParseError("nonzero padding bits", base + pos + k)
-                continue
-            if (group >> b) & 1:
-                i, j = next(pairs)
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            else:
-                next(pairs)
-            bit_index += 1
+    start = 0
+    for j in range(1, n):
+        masks[j] = int(bits[start : start + j][::-1], 2)
+        start += j
+        for i in _bits(masks[j]):
+            masks[i] |= 1 << j
     return Graph(n, tuple(masks))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import _purecore, backend
 from ._purecore import _bits
 from .errors import InvalidParameterError
-from .graphs import Graph
+from .graphs import Graph, is_bipartite
 
 __all__ = [
     "HomWitness",
@@ -155,35 +155,6 @@ def clique_number(g: Graph) -> int:
     return backend.clique_number(g.adj)
 
 
-def _mask_bipartite(adj: tuple[int, ...], subset: int) -> bool:
-    color0 = 0
-    color1 = 0
-    seen = 0
-    rest = subset
-    while rest:
-        start = rest & -rest
-        stack = [start.bit_length() - 1]
-        color0 |= start
-        seen |= start
-        while stack:
-            v = stack.pop()
-            side1 = bool((color1 >> v) & 1)
-            for u in _bits(adj[v] & subset):
-                bit = 1 << u
-                if seen & bit:
-                    if bool((color1 >> u) & 1) == side1:
-                        return False
-                else:
-                    seen |= bit
-                    if side1:
-                        color0 |= bit
-                    else:
-                        color1 |= bit
-                    stack.append(u)
-        rest = subset & ~seen
-    return True
-
-
 def is_a_locally_bipartite(g: Graph, a: int):
     """Whether the common neighbourhood of every a-clique is bipartite.
 
@@ -195,6 +166,6 @@ def is_a_locally_bipartite(g: Graph, a: int):
         common = (1 << g.order) - 1
         for v in clique:
             common &= g.adj[v]
-        if not _mask_bipartite(g.adj, common):
+        if not is_bipartite(g.induced(list(_bits(common)))):
             return False, clique
     return True, None

@@ -81,20 +81,20 @@ def regular_join_witness(r: int, g: int) -> Graph:
 def gallery_join_witness(r: int, tag: str) -> Graph:
     """Extremal join witness for the locally bipartite gallery members.
 
-    For C7bar the clique classes carry weight 3; for the four weighted
-    members the stored weighting is blown up and the clique classes carry
-    weight (order - min degree) of that blow-up. For r = 3 the clique part
-    is empty and the blow-up itself is returned.
+    C7bar carries the unit weighting and the four weighted members their
+    stored one. The weighting is blown up, and the clique classes carry
+    weight (order - min degree) of that blow-up, which is 7 - 4 = 3 for
+    C7bar. For r = 3 the clique part is empty and the blow-up itself is
+    returned.
     """
     if r < 3:
         raise InvalidParameterError("r must be at least 3")
     if tag == "C7bar":
-        base = join(complete(r - 3), gallery_graph("C7bar"))
-        weights = (3,) * (r - 3) + (1,) * 7
-        return blow_up(Weighting(base, weights))
-    if tag not in WEIGHTED_TAGS:
+        w = Weighting(gallery_graph("C7bar"), (1,) * 7)
+    elif tag in WEIGHTED_TAGS:
+        w = gallery_weighting(tag)
+    else:
         raise InvalidParameterError(f"no join witness for gallery graph {tag!r}")
-    w = gallery_weighting(tag)
     blown = blow_up(w)
     clique_weight = blown.order - degree_profile(blown).min_degree
     base = join(complete(r - 3), w.base)

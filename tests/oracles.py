@@ -82,6 +82,34 @@ def odd_girth(g: Graph):
     return None
 
 
+def locally_bipartite(g: Graph, a: int):
+    """(True, None), or (False, the first a-clique in lex order whose common
+    neighbourhood is not 2-colourable)."""
+    for clique in itertools.combinations(range(g.order), a):
+        if not all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2)):
+            continue
+        common = [w for w in range(g.order) if all(g.has_edge(v, w) for v in clique)]
+        if not is_k_colorable(g.induced(common), 2):
+            return False, clique
+    return True, None
+
+
+def graph6(g: Graph) -> str:
+    """graph6 from its definition, one pair at a time: the order byte (or
+    "~" and three 6-bit bytes above 62), then the pairs (i, j), i < j, in
+    column order, six bits to a byte with the most significant bit first,
+    zero-padded to a whole byte, every byte offset by 63."""
+    n = g.order
+    head = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = [
+        sum(bit << (5 - k) for k, bit in enumerate(bits[start : start + 6]))
+        for start in range(0, len(bits), 6)
+    ]
+    return "".join(chr(63 + b) for b in head + body)
+
+
 def min_edits_to_k_partite(g: Graph, k: int) -> int:
     edges = g.edges()
     best = None

@@ -2,8 +2,22 @@ import json
 
 import pytest
 
-from degstab import DeltaResult, Graph, complete, cycle, decode, empty_graph, encode, petersen
+from degstab import (
+    DeltaResult,
+    Graph,
+    balanced_blow_up,
+    classify,
+    complete,
+    cycle,
+    decode,
+    empty_graph,
+    encode,
+    petersen,
+)
 from degstab.cli import main
+from degstab.gallery import gallery_graph
+from degstab.witness import witness_base
+from tests import oracles
 
 
 def write_graph(tmp_path, name, g, fmt="graph6"):
@@ -109,6 +123,15 @@ class TestWitnessAndCertify:
         assert main(["witness", f, "--n", "50", "--out", str(out)]) == 0
         witness = decode(out.read_text(), "graph6")
         assert witness.order == 50
+
+    def test_witness_bytes_at_the_certified_order(self, tmp_path):
+        for tag in ("W7", "H2plus"):
+            h = gallery_graph(tag)
+            f = write_graph(tmp_path, f"{tag}.g6", h)
+            out = tmp_path / f"{tag}-w.g6"
+            assert main(["witness", f, "--n", "200", "--out", str(out)]) == 0
+            member = balanced_blow_up(witness_base(classify(h))[0], 200)
+            assert out.read_text() == oracles.graph6(member) + "\n"
 
     def test_certify_pass(self, tmp_path, capsys):
         f = write_graph(tmp_path, "k4.g6", complete(4))

@@ -65,6 +65,35 @@ class TestGraph6:
             decode("Bx", "graph6")
 
 
+class TestGraph6Reference:
+    def test_encode_matches_the_reference_and_decode_inverts_it(self):
+        rng = random.Random(612)
+        headers, paddings = set(), set()
+        for n in [*range(71), 100]:
+            for p in (0.1, 0.5, 0.9):
+                g = oracles.random_graph(rng, n, p)
+                text = encode(g, "graph6")
+                assert text == oracles.graph6(g)
+                assert decode(text, "graph6") == g
+                headers.add(text[0] == "~")
+                paddings.add(-(n * (n - 1) // 2) % 6)
+        # n(n - 1)/2 mod 6 is one of 0, 1, 3 and 4, so these are every
+        # padding length graph6 can have.
+        assert headers == {False, True}
+        assert paddings == {0, 2, 3, 5}
+
+    def test_padding_bit_in_the_last_byte_of_order_63(self):
+        # 1953 pairs take 326 body bytes after the 4-byte header; the last
+        # one, at offset 4 + 325, carries three padding bits.
+        text = encode(oracles.random_graph(random.Random(63), 63, 0.5), "graph6")
+        assert len(text) == 330
+        for bit in (1, 2, 4):
+            bad = text[:-1] + chr(ord(text[-1]) + bit)
+            assert pytest.raises(ParseError, decode, bad, "graph6").value.offset == 329
+            err = pytest.raises(ParseError, decode, ">>graph6<<" + bad, "graph6").value
+            assert err.offset == 339
+
+
 class TestEdgeList:
     def test_round_trip_text(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -248,6 +248,14 @@ class TestLocallyBipartite:
         with pytest.raises(InvalidParameterError):
             is_a_locally_bipartite(complete(3), 0)
 
+    def test_matches_the_brute_force_oracle(self):
+        rng = random.Random(38)
+        corpus = list(CorpusSpec.exhaustive(5).graphs())
+        corpus += [oracles.random_graph(rng, 8, 0.6) for _ in range(300)]
+        for g in corpus:
+            for a in (1, 2):
+                assert is_a_locally_bipartite(g, a) == oracles.locally_bipartite(g, a)
+
     def test_blow_up_inherits_verdict(self):
         rng = random.Random(36)
         for _ in range(25):

@@ -96,6 +96,13 @@ class TestGalleryJoinWitness:
                 profile = degree_profile(w)
                 assert Fraction(profile.min_degree, w.order) == degree_threshold(r, index)
 
+    def test_c7bar_follows_the_weighted_rule(self):
+        # The unit weighting of C7bar has 7 - 4 = 3 as its clique weight.
+        for r in range(3, 8):
+            base = join(complete(r - 3), gallery_graph("C7bar"))
+            weights = (3,) * (r - 3) + (1,) * 7
+            assert gallery_join_witness(r, "C7bar") == blow_up(Weighting(base, weights))
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             gallery_join_witness(3, "W5")
