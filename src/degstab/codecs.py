@@ -29,6 +29,8 @@ FORMATS = ("graph6", "edge-list", "json")
 
 _G6_MAX_ORDER = 258047
 _G6_HEADER = ">>graph6<<"
+# Each 6-character chunk of the bit string to its graph6 byte.
+_G6_BYTE = {format(b, "06b"): chr(63 + b) for b in range(64)}
 
 
 def encode(g: Graph, fmt: str) -> str:
@@ -62,8 +64,7 @@ def _encode_graph6(g: Graph) -> str:
     # Column j holds the pairs (0, j), ..., (j - 1, j): bits 0..j-1 of adj[j].
     bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
     bits += "0" * (-len(bits) % 6)
-    body = (chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
-    return head + "".join(body)
+    return head + "".join(map(_G6_BYTE.__getitem__, re.findall(".{6}", bits)))
 
 
 def _decode_graph6(text: str) -> Graph:

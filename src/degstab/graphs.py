@@ -22,27 +22,49 @@ class Graph:
     """A finite simple undirected graph on vertices 0..order-1.
 
     ``adj[v]`` has bit ``u`` set iff ``uv`` is an edge. The constructor
-    rejects self-loops, asymmetric adjacency and out-of-range endpoints.
+    rejects non-integer input, self-loops, asymmetric adjacency and
+    out-of-range endpoints. Equal consecutive rows (a class of a blow-up)
+    are checked once, as one run, against each of their neighbours.
     """
 
     order: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 0:
+        order = self.order
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise InvalidParameterError("order must be an integer")
+        if order < 0:
             raise InvalidParameterError("order must be nonnegative")
         adj = tuple(self.adj)
-        if len(adj) != self.order:
+        if len(adj) != order:
             raise InvalidParameterError("adjacency length must equal order")
-        for v, mask in enumerate(adj):
-            if mask < 0 or mask >> self.order:
-                raise InvalidParameterError(f"vertex {v} has a neighbour out of range")
-            if (mask >> v) & 1:
-                raise InvalidParameterError(f"vertex {v} has a self-loop")
-        for v, mask in enumerate(adj):
-            for u in _bits(mask):
-                if not (adj[u] >> v) & 1:
-                    raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
+        v = 0
+        try:
+            while v < order:
+                mask = adj[v]
+                if mask >> order:  # a negative mask shifts to -1
+                    raise InvalidParameterError(f"vertex {v} has a neighbour out of range")
+                # Rows v..end-1 equal mask (xor also rejects a non-int row), so
+                # uv and vu are edges for all of them iff adj[u] covers the run.
+                end = v + 1
+                while end < order and not adj[end] ^ mask:
+                    end += 1
+                run = ((1 << (end - v)) - 1) << v
+                if mask & run:
+                    v = (mask & run).bit_length() - 1
+                    raise InvalidParameterError(f"vertex {v} has a self-loop")
+                rest = mask
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    u = bit.bit_length() - 1
+                    if adj[u] & run != run:
+                        v = (run & ~adj[u]).bit_length() - 1
+                        raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
+                v = end
+        except TypeError:
+            raise InvalidParameterError("adjacency rows must be integer masks") from None
         object.__setattr__(self, "adj", adj)
 
     @classmethod

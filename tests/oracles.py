@@ -155,6 +155,27 @@ def random_graph(rng: random.Random, order: int, p: float) -> Graph:
     return Graph.from_edges(order, edges)
 
 
+def valid_adjacency(order, adj) -> bool:
+    """Whether ``Graph(order, adj)`` should be accepted, from the definition
+    of a simple graph: order a nonnegative int (not a bool), one int row
+    per vertex, every row bit naming a vertex, and then, one pair u <= v at
+    a time, no self-loop and u in row v exactly when v in row u."""
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        return False
+    if len(adj) != order or not all(isinstance(row, int) for row in adj):
+        return False
+    if any(row < 0 or row >= 2**order for row in adj):
+        return False
+    for v in range(order):
+        for u in range(v + 1):
+            v_sees_u = (adj[v] >> u) & 1 == 1
+            if v_sees_u and u == v:
+                return False
+            if v_sees_u != ((adj[u] >> v) & 1 == 1):
+                return False
+    return True
+
+
 def mycielskian(base: Graph, k: int) -> Graph:
     """Generalized Mycielskian M_k(base), labelled layer by layer.
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from degstab import (
     wheel,
 )
 from degstab.errors import InvalidParameterError
+from degstab.verify import CorpusSpec
+from degstab.witness import witness_for_gallery_index
 from tests import oracles
 
 
@@ -58,6 +61,16 @@ class TestGraphValue:
             Graph(1, (-1,))  # negative mask
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(2, [(1, 1)])
+        # Non-integer input is a parameter error, not a TypeError.
+        for order, adj in [
+            (2, (2.0, 1.0)),
+            (2.0, (2, 1)),
+            (2, ("a", 1)),
+            (2, (0, 0.0)),  # a float row equal to the int row before it
+            (True, (0,)),
+        ]:
+            with pytest.raises(InvalidParameterError):
+                Graph(order, adj)
 
     @pytest.mark.parametrize("order", [1, 64, 65])
     def test_out_of_range_bit_rejected(self, order):
@@ -77,6 +90,90 @@ class TestGraphValue:
         sub = g.induced([0, 1, 3])
         assert sub.order == 3
         assert sub.edges() == [(0, 1)]
+
+
+def _flip(adj, v, bit):
+    rows = list(adj)
+    rows[v] ^= 1 << bit
+    return tuple(rows)
+
+
+def _agrees_with_oracle(order, adj):
+    """Graph(order, adj) accepts exactly what the oracle accepts; a
+    rejection is an InvalidParameterError, and the asymmetric pair or
+    self-loop it names is real."""
+    if oracles.valid_adjacency(order, adj):
+        assert Graph(order, adj).adj == adj
+        return
+    with pytest.raises(InvalidParameterError) as info:
+        Graph(order, adj)
+    pair = re.fullmatch(r"edge (\d+)-(\d+) is not symmetric", str(info.value))
+    if pair:
+        v, u = int(pair[1]), int(pair[2])
+        assert (adj[v] >> u) & 1 and not (adj[u] >> v) & 1, (adj, str(info.value))
+    loop = re.fullmatch(r"vertex (\d+) has a self-loop", str(info.value))
+    if loop:
+        assert (adj[int(loop[1])] >> int(loop[1])) & 1, (adj, str(info.value))
+
+
+class TestConstructorAgainstOracle:
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_blow_up_mutants(self, r, n):
+        for j in range(1, 13):
+            g = balanced_blow_up(witness_for_gallery_index(r, j), n)
+            adj = g.adj
+            _agrees_with_oracle(n, adj)
+            starts = [v for v in range(n) if v == 0 or adj[v] != adj[v - 1]]
+            runs = list(zip(starts, starts[1:] + [n]))
+            rng = random.Random(f"{r}-{j}-{n}")
+            for a, b in rng.sample(runs, min(4, len(runs))):
+                first, last = a, b - 1
+                inner = rng.randrange(a, b)
+                nbrs = [u for u in range(n) if (adj[a] >> u) & 1]
+                u = rng.choice(nbrs)
+                stranger = rng.choice([w for w in range(n) if not (adj[a] >> w) & 1])
+                mutants = [
+                    # inside the run: a self-loop, and an edge within the class
+                    _flip(adj, inner, inner),
+                    _flip(adj, first, last),
+                    _flip(adj, last, first),
+                    # the first and last member lose a neighbour or gain one
+                    _flip(adj, first, u),
+                    _flip(adj, last, u),
+                    _flip(adj, first, stranger),
+                    _flip(adj, last, stranger),
+                    # a neighbour's row loses the first, last or an inner member
+                    _flip(adj, u, first),
+                    _flip(adj, u, last),
+                    _flip(adj, u, inner),
+                    # mirrored flips give valid graphs, split runs included
+                    _flip(_flip(adj, last, u), u, last),
+                    _flip(_flip(adj, first, stranger), stranger, first),
+                ]
+                for mutant in mutants:
+                    _agrees_with_oracle(n, mutant)
+
+    @pytest.mark.parametrize("corpus", ["exhaustive:4", "random:40,9,0.5,9"])
+    def test_every_one_bit_mutant(self, corpus):
+        for g in CorpusSpec.parse(corpus).graphs():
+            _agrees_with_oracle(g.order, g.adj)
+            for v in range(g.order):
+                for bit in range(g.order + 1):  # the first out-of-range bit too
+                    _agrees_with_oracle(g.order, _flip(g.adj, v, bit))
+
+    @pytest.mark.parametrize("order", [63, 64, 65])
+    def test_word_boundary_mutants(self, order):
+        rng = random.Random(order)
+        for p in (0.1, 0.5, 0.9):
+            adj = oracles.random_graph(rng, order, p).adj
+            _agrees_with_oracle(order, adj)
+            for _ in range(60):
+                v = rng.randrange(order)
+                bit = rng.choice([v, order - 1, order, rng.randrange(order)])
+                _agrees_with_oracle(order, _flip(adj, v, bit))
+            top = order - 1
+            _agrees_with_oracle(order, _flip(_flip(adj, 0, top), top, 0))
 
 
 class TestConstructors:
