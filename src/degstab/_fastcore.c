@@ -404,12 +404,17 @@ static PyObject *odd_girth(PyObject *self, PyObject *const *args, Py_ssize_t nar
     int n = read_graph(args[0], adj);
     if (n < 0)
         return NULL;
-    /* BFS on the parity double cover, one vertex mask per layer: the states
-       at depth d all have parity d mod 2. A start stops at the first odd
-       layer that reaches it again, or once too deep to beat the best cycle;
-       a triangle ends the whole search. */
+    /* First 3 if some edge uv has a common neighbour. */
+    for (int v = 0; v < n; v++)
+        for (u64 m = adj[v] & ~full_mask(v + 1); m; m &= m - 1)
+            if (adj[ctz(m)] & adj[v])
+                return PyLong_FromLong(3);
+    /* Otherwise BFS on the parity double cover, one vertex mask per layer:
+       the states at depth d all have parity d mod 2. A start stops at the
+       first odd layer that reaches it again, or once too deep to beat the
+       best cycle. */
     int best = 0;
-    for (int s = 0; s < n && best != 3; s++) {
+    for (int s = 0; s < n; s++) {
         u64 start = 1ULL << s, layer = start;
         u64 seen[2] = {start, 0};
         for (int d = 1; layer && (best == 0 || d < best); d++) {

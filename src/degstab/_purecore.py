@@ -59,7 +59,14 @@ def hom_search(p_adj, t_adj, minima=None):
         return None, 0
     # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
     # small length for reuse, and these short-lived ones would fill that.
-    p_nbrs = [list(_bits(m)) for m in p_adj]
+    p_nbrs = []
+    for m in p_adj:
+        nbrs = []
+        while m:
+            bit = m & -m
+            m ^= bit
+            nbrs.append(bit.bit_length() - 1)
+        p_nbrs.append(nbrs)
     # Target neighbourhood of each domain mask seen in this search.
     union = {}
     dom = [(1 << n_t) - 1] * n_p
@@ -70,6 +77,8 @@ def hom_search(p_adj, t_adj, minima=None):
     return mapping, nodes[0]
 
 
+# The indices of a mask's set bits, for cold paths elsewhere in the
+# package; the kernels here walk their bits inline.
 def _bits(mask):
     while mask:
         bit = mask & -mask
@@ -88,8 +97,11 @@ def _propagate(dom, p_nbrs, t_adj, union, dirty):
         nv = union.get(dv)
         if nv is None:
             nv = 0
-            for w in _bits(dv):
-                nv |= t_adj[w]
+            rest = dv
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nv |= t_adj[bit.bit_length() - 1]
             union[dv] = nv
         for u in p_nbrs[v]:
             du = dom[u]
@@ -267,26 +279,36 @@ def _edits_rec(adj, parts, k, v, maxlab, cost, best):
 def odd_girth(adj):
     """Length of the shortest odd cycle, or 0 when there is none.
 
-    BFS on the parity double cover from every start vertex: the shortest
-    odd closed walk through any vertex is attained by an odd cycle, and
-    every odd cycle is such a walk. Every edge flips parity, so the states
-    at depth d all have parity d mod 2 and each BFS layer is one vertex
-    mask; this needs symmetric, loop-free adjacency. A start stops at the
-    first odd layer that reaches it again, or at the first layer too deep
-    to beat the best cycle found so far.
+    First 3 if some edge uv has a common neighbour. Otherwise BFS on the
+    parity double cover from every start vertex: the shortest odd closed
+    walk through any vertex is attained by an odd cycle, and every odd
+    cycle is such a walk. Every edge flips parity, so the states at depth d
+    all have parity d mod 2 and each BFS layer is one vertex mask; this
+    needs symmetric, loop-free adjacency. A start stops at the first odd
+    layer that reaches it again, or at the first layer too deep to beat
+    the best cycle found so far.
     """
+    n = len(adj)
+    for v in range(n):
+        av = adj[v]
+        rest = av & -(2 << v)  # the neighbours above v
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if adj[bit.bit_length() - 1] & av:
+                return 3
     best = 0
-    for s in range(len(adj)):
-        if best == 3:  # no odd cycle is shorter
-            break
+    for s in range(n):
         start = 1 << s
         seen = [start, 0]
         layer = start
         d = 1
         while layer and (best == 0 or d < best):
             reach = 0
-            for w in _bits(layer):
-                reach |= adj[w]
+            while layer:
+                bit = layer & -layer
+                layer ^= bit
+                reach |= adj[bit.bit_length() - 1]
             if d & 1 and reach & start:
                 best = d
                 break

@@ -327,10 +327,14 @@ def _twin_reduction(adj: tuple[int, ...]):
     Returns the tuples (reduced adjacency, kept original indices,
     original-to-kept representative map). One pass leaves no twins: if
     two kept vertices differ on a dropped vertex, they differ on its kept
-    twin, which has the same neighbours.
+    twin, which has the same neighbours. A twin-free adjacency is its own
+    reduction, with identity maps.
     """
     first: dict[int, int] = {}
     rep = [first.setdefault(mask, v) for v, mask in enumerate(adj)]
+    if len(first) == len(adj):
+        identity = tuple(range(len(adj)))
+        return adj, identity, identity
     kept = list(first.values())
     pos = {v: i for i, v in enumerate(kept)}
     return _induced(adj, kept), tuple(kept), tuple([pos[v] for v in rep])
@@ -343,9 +347,13 @@ def _induced(adj, kept: list[int]) -> tuple[int, ...]:
     masks = []
     for v in kept:
         m = 0
-        for u in _bits(adj[v]):
-            if u in pos:
-                m |= 1 << pos[u]
+        rest = adj[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = pos.get(bit.bit_length() - 1)
+            if i is not None:
+                m |= 1 << i
         masks.append(m)
     return tuple(masks)
 

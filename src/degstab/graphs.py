@@ -17,6 +17,10 @@ from ._purecore import _bits
 from .errors import InvalidParameterError
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph on vertices 0..order-1.
@@ -32,15 +36,15 @@ class Graph:
 
     def __post_init__(self):
         order = self.order
-        if not isinstance(order, int) or isinstance(order, bool):
+        if not _is_int(order):
             raise InvalidParameterError("order must be an integer")
         if order < 0:
             raise InvalidParameterError("order must be nonnegative")
-        adj = tuple(self.adj)
-        if len(adj) != order:
-            raise InvalidParameterError("adjacency length must equal order")
         v = 0
         try:
+            adj = tuple(self.adj)
+            if len(adj) != order:
+                raise InvalidParameterError("adjacency length must equal order")
             while v < order:
                 mask = adj[v]
                 if mask >> order:  # a negative mask shifts to -1
@@ -64,13 +68,17 @@ class Graph:
                         raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
                 v = end
         except TypeError:
-            raise InvalidParameterError("adjacency rows must be integer masks") from None
+            raise InvalidParameterError("adjacency must be a sequence of integer masks") from None
         object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if not _is_int(order):
+            raise InvalidParameterError("order must be an integer")
         masks = [0] * max(order, 0)
         for u, v in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise InvalidParameterError(f"edge {u!r}-{v!r} has a non-integer endpoint")
             if not (0 <= u < order and 0 <= v < order):
                 raise InvalidParameterError(f"edge {u}-{v} out of range for order {order}")
             if u == v:
@@ -96,8 +104,11 @@ class Graph:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         out = []
         for v in range(self.order):
-            for u in _bits(self.adj[v] >> (v + 1)):
-                out.append((v, v + 1 + u))
+            rest = self.adj[v] & -(2 << v)  # the neighbours above v
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                out.append((v, bit.bit_length() - 1))
         return out
 
     @property

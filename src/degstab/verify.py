@@ -105,20 +105,22 @@ class CorpusSpec:
 
     def graphs(self) -> Iterator[Graph]:
         if self.mode == "exhaustive":
-            for n in range(self.max_order + 1):
-                pairs = [(i, j) for j in range(1, n) for i in range(j)]
-                for mask in range(1 << len(pairs)):
-                    adj = [0] * n
-                    m = mask
-                    idx = 0
-                    while m:
-                        if m & 1:
-                            i, j = pairs[idx]
-                            adj[i] |= 1 << j
-                            adj[j] |= 1 << i
-                        m >>= 1
-                        idx += 1
-                    yield Graph(n, tuple(adj))
+            # The edge mask of order n is that of order n - 1 with the
+            # neighbours s of the new vertex n - 1 in its top bits, so order
+            # n is every s, ascending, over every order n - 1 graph in turn.
+            # Only the previous order is kept, and the last is not stored.
+            previous = [()]
+            yield Graph(0, ())
+            for n in range(1, self.max_order + 1):
+                grown = []
+                for s in range(1 << (n - 1)):
+                    col = [(s >> i & 1) << (n - 1) for i in range(n - 1)]
+                    for base in previous:
+                        adj = (*[b | c for b, c in zip(base, col)], s)
+                        yield Graph(n, adj)
+                        if n < self.max_order:
+                            grown.append(adj)
+                previous = grown
         elif self.mode == "random":
             rng = random.Random(self.seed)
             n = self.order

@@ -155,6 +155,29 @@ def random_graph(rng: random.Random, order: int, p: float) -> Graph:
     return Graph.from_edges(order, edges)
 
 
+def exhaustive_graphs(max_order: int):
+    """Every labelled graph on 0..max_order vertices, by order and then by
+    edge mask, bit k of the mask being the k-th pair (i, j), i < j, in
+    order of j and then i."""
+    for n in range(max_order + 1):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for mask in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+
+
+def twin_reduction(adj):
+    """``(reduced adjacency, kept vertices, representative map)``: the
+    least vertex of each neighbourhood is kept, the reduced graph is the
+    one induced on the kept vertices, and each vertex maps to the position
+    of its kept twin."""
+    kept = [v for v in range(len(adj)) if adj.index(adj[v]) == v]
+    reduced = tuple(
+        sum(1 << i for i, u in enumerate(kept) if adj[v] >> u & 1) for v in kept
+    )
+    rep = tuple(kept.index(adj.index(adj[v])) for v in range(len(adj)))
+    return reduced, tuple(kept), rep
+
+
 def valid_adjacency(order, adj) -> bool:
     """Whether ``Graph(order, adj)`` should be accepted, from the definition
     of a simple graph: order a nonnegative int (not a bool), one int row

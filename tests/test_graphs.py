@@ -68,9 +68,14 @@ class TestGraphValue:
             (2, ("a", 1)),
             (2, (0, 0.0)),  # a float row equal to the int row before it
             (True, (0,)),
+            (2, 5),  # not a sequence
+            (2, None),
         ]:
             with pytest.raises(InvalidParameterError):
                 Graph(order, adj)
+        for order, edges in [(2.0, [(0, 1)]), (2, [(0.0, 1)]), (2, [(0, 1.0)]), (2, [(True, 0)])]:
+            with pytest.raises(InvalidParameterError):
+                Graph.from_edges(order, edges)
 
     @pytest.mark.parametrize("order", [1, 64, 65])
     def test_out_of_range_bit_rejected(self, order):

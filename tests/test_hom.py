@@ -138,6 +138,16 @@ class TestHomomorphism:
             # No twins are left.
             assert len(set(reduced)) == len(reduced)
 
+    def test_twin_reduction_matches_the_general_construction(self):
+        for g in CorpusSpec.exhaustive(5).graphs():
+            assert backend._twin_reduction(g.adj) == oracles.twin_reduction(g.adj)
+
+    def test_twin_free_adjacency_is_its_own_reduction(self):
+        for g in (petersen(), cycle(7), complete(4)):
+            reduced, kept, rep = backend._twin_reduction(g.adj)
+            assert reduced is g.adj
+            assert kept == rep == tuple(range(g.order))
+
     def test_deterministic_witness(self):
         a, n_a = homomorphism_search(cycle(9), cycle(5))
         b, n_b = homomorphism_search(cycle(9), cycle(5))

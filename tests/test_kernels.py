@@ -18,6 +18,7 @@ from degstab.backend import orbit_minima
 from degstab.classify import scan_target
 from degstab.gallery import SEQUENCE, sequence_graph
 from degstab.graphs import Graph, complete, cycle, cycle_complement, join, petersen, wheel
+from degstab.verify import CorpusSpec
 
 from tests.oracles import (
     mycielskian,
@@ -206,6 +207,16 @@ def test_odd_girth_matches_reference_on_random_graphs(kernels):
         assert kernels.odd_girth(g.adj) == reference_odd_girth(g.adj)
 
 
+def test_odd_girth_matches_reference_on_every_graph_up_to_5_vertices(kernels):
+    # Both paths: a triangle returns 3 before the BFS, the rest is BFS.
+    girths = set()
+    for g in CorpusSpec.exhaustive(5).graphs():
+        girth = kernels.odd_girth(g.adj)
+        assert girth == reference_odd_girth(g.adj)
+        girths.add(girth)
+    assert girths == {0, 3, 5}
+
+
 @pytest.mark.parametrize(
     "graph",
     [
@@ -215,6 +226,7 @@ def test_odd_girth_matches_reference_on_random_graphs(kernels):
         mycielskian(cycle(31), 1),  # order 63
         mycielskian(cycle(21), 2),  # order 64
         mycielskian(cycle(7), 8),  # order 64
+        Graph.from_edges(64, [(61, 62), (62, 63), (61, 63)]),  # a triangle on the top bits
         mycielskian(cycle(32), 1),  # order 65
         mycielskian(cycle(16), 3),  # order 65
     ],

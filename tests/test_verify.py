@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,24 @@ class TestCorpus:
         assert sum(1 for _ in CorpusSpec.exhaustive(0).graphs()) == 1
         assert sum(1 for _ in CorpusSpec.exhaustive(4).graphs()) == 76
         assert sum(1 for _ in CorpusSpec.exhaustive(5).graphs()) == 1100
+        assert sum(1 for _ in CorpusSpec.exhaustive(6).graphs()) == 33868
+
+    def test_exhaustive_order(self):
+        # Graph for graph, in order: a violation is reported by its index.
+        for k in range(6):
+            assert list(CorpusSpec.exhaustive(k).graphs()) == list(oracles.exhaustive_graphs(k))
+
+    def test_exhaustive_stream_keeps_one_order(self):
+        # The stream keeps the previous order's adjacencies only: storing
+        # every order, or the last one, costs several MB on exhaustive:6.
+        tracemalloc.start()
+        try:
+            for _ in CorpusSpec.exhaustive(6).graphs():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_exhaustive_bound(self):
         with pytest.raises(InvalidParameterError):
