@@ -1,7 +1,7 @@
 /*
  * Compiled search kernels, the twin of degstab._purecore.
  *
- * Four entry points: hom_search, color_search, min_edits and odd_girth.
+ * Three entry points: hom_search, color_search and odd_girth.
  * Each runs the pure kernel's algorithm with the same tie-breaking, so
  * results, witnesses and node counts are identical. The tests compare the
  * two kernel sets output for output: change both together.
@@ -84,8 +84,8 @@ static int read_graph(PyObject *arg, u64 adj[MAX_ORDER])
     return (int)n;
 }
 
-/* Reads a part or colour count; values beyond 64 bits saturate, as every
-   kernel treats any count of at least the order alike. */
+/* Reads a colour count; values beyond 64 bits saturate, as the kernel
+   treats any count of at least the order alike. */
 static int read_count(PyObject *arg, long long *k)
 {
     int overflow;
@@ -329,66 +329,6 @@ static PyObject *color_search(PyObject *self, PyObject *const *args, Py_ssize_t 
     return int_tuple(c.colors, c.n);
 }
 
-/* -- min_edits ------------------------------------------------------------ */
-
-typedef struct {
-    u64 adj[MAX_ORDER];
-    u64 parts[MAX_ORDER];
-    int n, k;
-    long long best;
-} Partition;
-
-/* Branch and bound over restricted-growth label strings: vertex v joins an
-   open part or opens the next one, and a branch stops once it costs as many
-   intra-part edges as the best partition found. */
-static void edits_rec(Partition *p, int v, int maxlab, long long cost)
-{
-    if (v == p->n) {
-        p->best = cost;
-        return;
-    }
-    int lim = maxlab + 1 < p->k - 1 ? maxlab + 1 : p->k - 1;
-    u64 bit = 1ULL << v;
-    for (int lab = 0; lab <= lim; lab++) {
-        long long nc = cost + popcount(p->adj[v] & p->parts[lab]);
-        if (nc < p->best) {
-            p->parts[lab] |= bit;
-            edits_rec(p, v + 1, lab > maxlab ? lab : maxlab, nc);
-            p->parts[lab] &= ~bit;
-        }
-    }
-}
-
-PyDoc_STRVAR(min_edits_doc,
-"min_edits(adj, k) -> int\n\n"
-"Fewest intra-part edges over all partitions into at most k parts; the\n"
-"contract of degstab._purecore.min_edits.");
-
-static PyObject *min_edits(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Partition p;
-    long long k;
-    if (check_nargs("min_edits", nargs, 2) < 0)
-        return NULL;
-    if ((p.n = read_graph(args[0], p.adj)) < 0 || read_count(args[1], &k) < 0)
-        return NULL;
-    if (k <= 0) {
-        PyErr_SetString(PyExc_ValueError, "k must be positive");
-        return NULL;
-    }
-    if (p.n == 0 || k >= p.n)
-        return PyLong_FromLong(0);
-    p.k = (int)k;
-    /* One part holding everything is a partition: the edge count bounds. */
-    p.best = 0;
-    for (int i = 0; i < p.n; i++)
-        p.best += popcount(p.adj[i]);
-    p.best /= 2;
-    memset(p.parts, 0, sizeof p.parts);
-    edits_rec(&p, 0, -1, 0);
-    return PyLong_FromLongLong(p.best);
-}
-
 /* -- odd_girth ------------------------------------------------------------ */
 
 PyDoc_STRVAR(odd_girth_doc,
@@ -439,7 +379,6 @@ static PyObject *odd_girth(PyObject *self, PyObject *const *args, Py_ssize_t nar
 static PyMethodDef fastcore_methods[] = {
     KERNEL(hom_search),
     KERNEL(color_search),
-    KERNEL(min_edits),
     KERNEL(odd_girth),
     {NULL, NULL, 0, NULL},
 };

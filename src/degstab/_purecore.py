@@ -1,13 +1,14 @@
 """Pure-Python search kernels.
 
 These are the hot inner loops of the package: homomorphism backtracking,
-exact coloring, partition edit counting and odd-girth BFS, plus
-brute-force map enumeration. A compiled twin (``degstab._fastcore``, plain
-C) implements the first four entry points with identical semantics and
-identical tie-breaking; :mod:`degstab.backend` picks one at import time.
-Keep the two in lock-step: the test suite compares their outputs bit for
-bit. ``brute_hom`` has no compiled twin: it is the independent oracle for
-``hom_search`` and shares no code with either search.
+exact coloring and odd-girth BFS, plus two brute-force oracles, map
+enumeration and partition edit counting. A compiled twin
+(``degstab._fastcore``, plain C) implements the three searches,
+``hom_search``, ``color_search`` and ``odd_girth``, with identical
+semantics and identical tie-breaking; :mod:`degstab.backend` picks one at
+import time. Keep the two in lock-step: the test suite compares their
+outputs bit for bit. The oracles ``brute_hom`` and ``min_edits`` have no
+compiled twin and share no code with any search.
 
 All functions take adjacency as a sequence of integer bitmasks, one per
 vertex (bit ``u`` of ``adj[v]`` is set iff ``uv`` is an edge). The adjacency

@@ -12,9 +12,10 @@ name to its number of leading graph arguments (adjacency masks). The module
 defines one function per entry, named after the kernel: a call goes to the
 compiled kernel, with its arguments unchanged, when ``_fastcore`` is loaded
 and every graph argument has order at most 64, and to the pure kernel
-otherwise. ``brute_hom``, the independent oracle for ``hom_search``, is not
-in the table: it is pure only, so it shares no code with the compiled
-search.
+otherwise. The two brute-force oracles are not in the table: ``brute_hom``,
+the independent oracle for ``hom_search``, and ``min_edits``, the edit
+counting oracle of ``verify.brute_min_edits_to_k_partite``, are pure only,
+so neither shares a code path with the compiled searches.
 
 ``hom_search`` first tries one exact refutation above both kernel sets: a
 homomorphism maps a clique injectively onto a clique, so when a greedy
@@ -72,7 +73,6 @@ _PREPARED_MEMO_SIZE = 512
 _KERNELS = {
     "hom_search": 2,
     "color_search": 1,
-    "min_edits": 1,
     "odd_girth": 1,
 }
 
@@ -98,8 +98,8 @@ def _dispatcher(name: str, graphs: int):
     return kernel
 
 
-# Defines hom_search, color_search, min_edits and odd_girth; the
-# routed hom_search is then wrapped by the clique-bound refutation.
+# Defines hom_search, color_search and odd_girth; the routed
+# hom_search is then wrapped by the clique-bound refutation.
 globals().update({name: _dispatcher(name, graphs) for name, graphs in _KERNELS.items()})
 _routed_hom_search = hom_search
 

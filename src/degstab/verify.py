@@ -32,7 +32,7 @@ from .hom import (
     is_k_colorable,
 )
 from .witness import witness_for_gallery_index
-from . import backend
+from . import _purecore
 
 __all__ = [
     "CorpusSpec",
@@ -198,7 +198,8 @@ def brute_min_edits_to_k_partite(g: Graph, k: int) -> int:
     """Minimum intra-part edges over all k-part vertex partitions.
 
     Zero exactly when g is k-colorable. Raises ResourceBudgetError when
-    k^order exceeds the enumeration budget of 10^8.
+    k^order exceeds the enumeration budget of 10^8. An oracle, so pure
+    only: it has no compiled twin and shares no code with the searches.
     """
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
@@ -206,7 +207,7 @@ def brute_min_edits_to_k_partite(g: Graph, k: int) -> int:
         raise ResourceBudgetError(
             f"{k}^{g.order} partitions exceed the budget of {EDIT_ORACLE_BUDGET}"
         )
-    return backend.min_edits(g.adj, k)
+    return _purecore.min_edits(g.adj, k)
 
 
 def check_hom_odd_girth(spec, g_max: int) -> VerificationReport:
@@ -243,13 +244,11 @@ def check_haggkvist(spec, g: int) -> VerificationReport:
     def probe(graph: Graph):
         if graph.order == 0:
             return None
-        girth = odd_girth(graph)
-        if girth is None:
-            return None
         min_deg = min(m.bit_count() for m in graph.adj)
         if min_deg * (2 * g + 1) <= 2 * graph.order:
             return None
-        if girth >= 2 * g + 1:
+        girth = odd_girth(graph)
+        if girth is not None and girth >= 2 * g + 1:
             return f"min degree {min_deg} of {graph.order} but odd girth {girth}"
         return None
 

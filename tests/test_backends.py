@@ -9,7 +9,6 @@ from degstab.graphs import cycle
 ENTRY_POINTS = {
     "hom_search": (),
     "color_search": (3,),
-    "min_edits": (2,),
     "odd_girth": (),
 }
 
@@ -52,20 +51,6 @@ def test_color_search_parity(fastcore):
             assert _purecore.color_search(g, k) == fastcore.color_search(g, k)
 
 
-def test_min_edits_parity(fastcore):
-    rng = random.Random(63)
-    for _ in range(150):
-        g = random_adj(rng, rng.randint(0, 9), rng.random())
-        k = rng.randint(1, 4)
-        assert _purecore.min_edits(g, k) == fastcore.min_edits(g, k)
-    # 13-vertex graphs at k = 2 and 3.
-    rng = random.Random(14)
-    for _ in range(30):
-        g = random_adj(rng, 13)
-        for k in (2, 3):
-            assert _purecore.min_edits(g, k) == fastcore.min_edits(g, k)
-
-
 def test_odd_girth_parity(fastcore):
     rng = random.Random(64)
     for _ in range(400):
@@ -83,14 +68,18 @@ def test_edge_cases_match(fastcore):
         assert _purecore.hom_search(p, t) == fastcore.hom_search(p, t)
     assert _purecore.color_search([], 3) == fastcore.color_search([], 3) == ()
     assert _purecore.color_search([0], 0) is fastcore.color_search([0], 0) is None
-    assert _purecore.min_edits([], 2) == fastcore.min_edits([], 2) == 0
     assert _purecore.odd_girth([]) == fastcore.odd_girth([]) == 0
     # Counts beyond 64 bits behave as in the pure kernels.
     assert fastcore.color_search([0, 0], 2**70) == _purecore.color_search([0, 0], 2**70)
-    assert fastcore.min_edits([2, 1], 2**70) == _purecore.min_edits([2, 1], 2**70) == 0
-    for k in (0, -(2**70)):
-        with pytest.raises(ValueError, match="k must be positive"):
-            fastcore.min_edits([2, 1], k)
+
+
+def test_kernel_sets_in_lock_step(fastcore):
+    # A kernel that leaves one set must leave all three: the pure module
+    # holds the compiled kernels and the two oracles.
+    compiled = {name for name in dir(fastcore) if not name.startswith("_")}
+    assert compiled == set(backend._KERNELS)
+    assert compiled <= set(_purecore.__all__)
+    assert set(_purecore.__all__) - set(backend._KERNELS) == {"brute_hom", "min_edits"}
 
 
 def test_tuples_and_lists_give_the_same_result(fastcore):

@@ -9,10 +9,16 @@ import types
 import pytest
 
 import degstab
-from degstab import _purecore, backend
+from degstab import _purecore, backend, verify
 from degstab.backend import backend_name, has_compiled_backend
 from degstab.graphs import Graph, Weighting, blow_up, complete, cycle, cycle_complement, join, wheel
-from degstab.hom import chromatic_number, clique_number, find_coloring, homomorphism_search
+from degstab.hom import (
+    brute_force_homomorphism_exists,
+    chromatic_number,
+    clique_number,
+    find_coloring,
+    homomorphism_search,
+)
 
 from tests.oracles import mycielskian
 
@@ -20,7 +26,6 @@ from tests.oracles import mycielskian
 KERNELS = {
     "hom_search": (2, ()),
     "color_search": (1, (3,)),
-    "min_edits": (1, (2,)),
     "odd_girth": (1, ()),
 }
 
@@ -117,6 +122,16 @@ def test_environment_forces_pure(routed):
         assert _call(name, (3,) * graphs) == "pure"
     assert {label for label, _, _ in calls} == {"pure"}
     assert [name for _, name, _ in calls] == list(KERNELS)
+
+
+def test_oracles_run_pure_with_the_extension_loaded(routed):
+    calls = routed()
+    stub = sys.modules["degstab._fastcore"]
+    for name in ("brute_hom", "min_edits"):
+        setattr(stub, name, _recorder(calls, "stub", name))
+    assert verify.brute_min_edits_to_k_partite(complete(4), 2) == 2
+    assert brute_force_homomorphism_exists(cycle(5), complete(3))
+    assert calls == []
 
 
 # -- clique-bound refutation --------------------------------------------------

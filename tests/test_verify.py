@@ -23,7 +23,7 @@ from degstab import (
     petersen,
     search_hom_free_lower_bound,
 )
-from degstab import verify
+from degstab import _purecore, verify
 from degstab.errors import InvalidParameterError, ResourceBudgetError
 from degstab.gallery import gallery_graph
 from degstab.verify import VerificationReport, Violation
@@ -122,6 +122,14 @@ class TestEditOracle:
         with pytest.raises(InvalidParameterError):
             brute_min_edits_to_k_partite(complete(3), 0)
 
+    def test_pure_kernel_edge_cases(self):
+        assert _purecore.min_edits([], 2) == 0
+        # Counts beyond 64 bits are plain integers to the kernel.
+        assert _purecore.min_edits([2, 1], 2**70) == 0
+        for k in (0, -(2**70)):
+            with pytest.raises(ValueError, match="k must be positive"):
+                _purecore.min_edits([2, 1], k)
+
     def test_blow_up_bound_holds_at_oracle_scale(self):
         for g in range(1, 6):
             length = 2 * g + 1
@@ -162,6 +170,27 @@ class TestLemmaSuites:
         for g in (2, 3):
             report = check_haggkvist(CorpusSpec.exhaustive(5), g)
             assert report.passed
+
+    def test_haggkvist_suite_can_fail(self, monkeypatch):
+        # K4 meets the hypothesis at g = 2 (3/4 > 2/5), so an odd girth of
+        # 5 there must be reported.
+        monkeypatch.setattr(verify, "odd_girth", lambda graph: 5)
+        report = check_haggkvist([complete(4)], 2)
+        assert [v.detail for v in report.violations] == ["min degree 3 of 4 but odd girth 5"]
+
+    def test_haggkvist_runs_odd_girth_only_under_the_hypothesis(self, monkeypatch):
+        calls = []
+        real = verify.odd_girth
+        monkeypatch.setattr(verify, "odd_girth", lambda graph: calls.append(graph) or real(graph))
+        report = check_haggkvist(CorpusSpec.exhaustive(6), 2)
+        assert report.passed and report.checked == 33868
+        dense = [
+            g
+            for g in oracles.exhaustive_graphs(6)
+            if g.order and Fraction(min(map(int.bit_count, g.adj)), g.order) > Fraction(2, 5)
+        ]
+        assert calls == dense
+        assert len(dense) == 1896
 
     def test_haggkvist_boundary_is_vacuous(self):
         # min degree exactly 2n/(2g+1) does not trigger the hypothesis

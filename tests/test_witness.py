@@ -24,6 +24,7 @@ from degstab import (
     witness_for_gallery_index,
 )
 from degstab import witness
+from degstab.classify import scan_target
 from degstab.errors import InvalidParameterError
 from degstab.gallery import gallery_graph
 from degstab.witness import witness_base
@@ -243,3 +244,11 @@ class TestWitnessBase:
             seed, base = witness_base(result)
             assert has_homomorphism(seed, base) is not None
             assert has_homomorphism(h, base) is None
+        # Every seed that witness_base can return, at every scan index.
+        for r in (3, 4, 5):
+            for j in range(1, 13):
+                seed = witness_for_gallery_index(r, j)
+                assert has_homomorphism(seed, scan_target("gallery-join", j, r)) is not None
+            for g in range(1, 7):
+                seed = regular_join_witness(r, g)
+                assert has_homomorphism(seed, scan_target("cycle-join", g, r)) is not None
