@@ -4,7 +4,10 @@
  * Three entry points: hom_search, color_search and odd_girth.
  * Each runs the pure kernel's algorithm with the same tie-breaking, so
  * results, witnesses and node counts are identical. The tests compare the
- * two kernel sets output for output: change both together.
+ * two kernel sets output for output: change both together. hom_search
+ * probes (singleton arc consistency) at the same nodes and from the same
+ * pattern order as the pure kernel; the closure it computes is unique, so
+ * the two may sweep in different orders and still agree.
  *
  * A graph argument is a sequence of adjacency bitmasks, one per vertex, of
  * order at most 64. A larger graph raises ValueError, and a mask that is
@@ -22,6 +25,9 @@
 #include <string.h>
 
 #define MAX_ORDER 64
+
+/* hom_search probes (see hs_probe) only for patterns of at least this order. */
+#define PROBE_ORDER 15
 
 typedef unsigned long long u64;
 
@@ -121,26 +127,66 @@ typedef struct {
     long long nodes;
 } HomSearch;
 
-/* Arc consistency from the pattern vertices in dirty. As the target is
-   symmetric, the values of u with a neighbour inside dom[v] are exactly
+/* Arc consistency on dom from the pattern vertices in dirty. As the target
+   is symmetric, the values of u with a neighbour inside dom[v] are exactly
    dom[u] & N(dom[v]), with N(D) the union of target neighbourhoods over D.
    Returns 0 when a domain empties. */
-static int hs_propagate(HomSearch *s, u64 dirty)
+static int hs_propagate(const HomSearch *s, u64 *dom, u64 dirty)
 {
     while (dirty) {
         int v = ctz(dirty);
         dirty &= dirty - 1;
         u64 nv = 0;
-        for (u64 d = s->dom[v]; d; d &= d - 1)
+        for (u64 d = dom[v]; d; d &= d - 1)
             nv |= s->t_adj[ctz(d)];
         for (u64 nbrs = s->p_adj[v]; nbrs; nbrs &= nbrs - 1) {
             int u = ctz(nbrs);
-            u64 nd = s->dom[u] & nv;
-            if (nd != s->dom[u]) {
+            u64 nd = dom[u] & nv;
+            if (nd != dom[u]) {
                 if (!nd)
                     return 0;
-                s->dom[u] = nd;
+                dom[u] = nd;
                 dirty |= 1ULL << u;
+            }
+        }
+    }
+    return 1;
+}
+
+/* Singleton arc consistency over the vertices in free: a value whose
+   assignment wipes out a domain is removed, and the removal propagated,
+   until every value of every free domain survives its probe. The closure
+   is unique, so the sweep order does not change it. Here the vertices with
+   two or more values are swept cyclically, largest domains first (ties by
+   index), until a whole sweep removes nothing. Returns 0 when a domain
+   empties. */
+static int hs_probe(HomSearch *s, u64 free)
+{
+    u64 trial[MAX_ORDER];
+    int order[MAX_ORDER], count = 0;
+    for (; free; free &= free - 1) {
+        int u = ctz(free), size = popcount(s->dom[u]), j = count;
+        if (size < 2)
+            continue;
+        for (; j > 0 && popcount(s->dom[order[j - 1]]) < size; j--)
+            order[j] = order[j - 1];
+        order[j] = u;
+        count++;
+    }
+    for (int stable = 0, i = 0; stable < count; i = i + 1 < count ? i + 1 : 0) {
+        int u = order[i];
+        stable++;
+        for (u64 vals = s->dom[u]; vals;) {
+            u64 bit = vals & -vals;
+            vals ^= bit;
+            memcpy(trial, s->dom, s->n_p * sizeof(u64));
+            trial[u] = bit;
+            if (!hs_propagate(s, trial, 1ULL << u)) {
+                s->dom[u] ^= bit;
+                if (!hs_propagate(s, s->dom, 1ULL << u))
+                    return 0;
+                vals &= s->dom[u];
+                stable = 0;
             }
         }
     }
@@ -165,9 +211,11 @@ static int call_minima(PyObject *minima, u64 fixed, u64 *out)
 
 /* Branches on the unassigned vertex with the smallest domain (lowest index
    on ties), values ascending; returns 1 with every domain a single value,
-   0 when there is none, and -1 when a minima call raised. minima (NULL for
-   none) is passed at the root and one level down only: once the first
-   value there fails, the rest are cut to the orbit minima of the
+   0 when there is none, and -1 when a minima call raised. Once the first
+   value fails and others remain, a pattern of order at least PROBE_ORDER
+   probes the unassigned vertices (hs_probe) and keeps the values that
+   survive. minima (NULL for none) is passed at the root and one level down
+   only: at that same point the rest are cut to the orbit minima of the
    stabiliser of the root's value (of nothing at the root). */
 static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
 {
@@ -185,24 +233,32 @@ static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
     PyObject *below = assigned ? NULL : minima;
     u64 saved[MAX_ORDER];
     u64 vals = s->dom[v];
+    int first = 1;
     while (vals) {
         u64 bit = vals & -vals;
         vals ^= bit;
         s->nodes++;
         memcpy(saved, s->dom, s->n_p * sizeof(u64));
         s->dom[v] = bit;
-        if (hs_propagate(s, 1ULL << v)) {
+        if (hs_propagate(s, s->dom, 1ULL << v)) {
             int found = hs_assign(s, unassigned & ~(1ULL << v), below);
             if (found)
                 return found;
         }
         memcpy(s->dom, saved, s->n_p * sizeof(u64));
-        if (minima != NULL && vals) {
-            u64 keep;
-            if (call_minima(minima, assigned ? s->dom[ctz(assigned)] : 0, &keep) < 0)
-                return -1;
-            vals &= keep;
-            minima = NULL;
+        if (first && vals) {
+            first = 0;
+            if (s->n_p >= PROBE_ORDER) {
+                if (!hs_probe(s, unassigned))
+                    return 0;
+                vals &= s->dom[v];
+            }
+            if (minima != NULL) {
+                u64 keep;
+                if (call_minima(minima, assigned ? s->dom[ctz(assigned)] : 0, &keep) < 0)
+                    return -1;
+                vals &= keep;
+            }
         }
     }
     return 0;
@@ -211,10 +267,11 @@ static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
 PyDoc_STRVAR(hom_search_doc,
 "hom_search(p_adj, t_adj, minima=None) -> (mapping or None, nodes)\n\n"
 "Search for an edge-preserving map from pattern to target; the contract of\n"
-"degstab._purecore.hom_search. minima, if not None, maps a mask F of target\n"
-"vertices to the mask of the least vertex of each orbit of the pointwise\n"
-"stabiliser of F in Aut(T); the search uses it to cut symmetric values at\n"
-"the root and one level down, which is exact and leaves the result unchanged.");
+"degstab._purecore.hom_search, probing included. minima, if not None, maps\n"
+"a mask F of target vertices to the mask of the least vertex of each orbit\n"
+"of the pointwise stabiliser of F in Aut(T); the search uses it to cut\n"
+"symmetric values at the root and one level down, which is exact and leaves\n"
+"the result unchanged.");
 
 static PyObject *hom_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -238,7 +295,7 @@ static PyObject *hom_search(PyObject *self, PyObject *const *args, Py_ssize_t na
     s.nodes = 0;
     for (int i = 0; i < MAX_ORDER; i++)
         s.dom[i] = full_mask(n_t);
-    if (!hs_propagate(&s, full_mask(n_p)))
+    if (!hs_propagate(&s, s.dom, full_mask(n_p)))
         return Py_BuildValue("(Oi)", Py_None, 0);
     int found = hs_assign(&s, full_mask(n_p), minima);
     if (found < 0)

@@ -8,7 +8,9 @@ The exception is the pair of reference kernels at the end,
 ``reference_hom_search`` and ``reference_odd_girth``. They are the plain
 per-bit and per-state formulations of the bitset kernels in
 ``degstab._purecore`` and must return exactly what those return, search
-node counts and witnesses included.
+node counts and witnesses included. The reference search probes with its
+own singleton-arc-consistency closure, restarted round by round, where the
+kernels sweep cyclically; the closure is unique, so the two must agree.
 """
 
 from __future__ import annotations
@@ -216,12 +218,20 @@ def mycielskian(base: Graph, k: int) -> Graph:
     return Graph.from_edges(apex + 1, edges)
 
 
-def reference_hom_search(p_adj, t_adj):
+# Patterns of at least this order are probed by reference_hom_search.
+REFERENCE_PROBE_ORDER = 15
+
+
+def reference_hom_search(p_adj, t_adj, probe=True):
     """``hom_search`` with arc revision done one target value at a time.
 
     Same contract, variable order and value order as the kernel: smallest
     live domain first (lowest index on ties), values ascending, and
-    arc-consistency propagation after every assignment.
+    arc-consistency propagation after every assignment. When ``probe`` is
+    true and the pattern has at least ``REFERENCE_PROBE_ORDER`` vertices, a
+    node whose first value failed, with values left, first narrows the
+    domains to their singleton-arc-consistency closure (``_reference_sac``)
+    and keeps only the values of the branching vertex that survive it.
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
@@ -233,7 +243,8 @@ def reference_hom_search(p_adj, t_adj):
     if not _reference_propagate(dom, p_adj, t_adj, (1 << n_p) - 1):
         return None, 0
     nodes = [0]
-    mapping = _reference_assign(dom, p_adj, t_adj, 0, nodes)
+    probe = probe and n_p >= REFERENCE_PROBE_ORDER
+    mapping = _reference_assign(dom, p_adj, t_adj, 0, nodes, probe)
     return mapping, nodes[0]
 
 
@@ -264,7 +275,33 @@ def _reference_propagate(dom, p_adj, t_adj, dirty):
     return True
 
 
-def _reference_assign(dom, p_adj, t_adj, assigned, nodes):
+def _reference_sac(dom, p_adj, t_adj, assigned):
+    """Narrow dom to its singleton-arc-consistency closure over the vertices
+    not in ``assigned``, from the definition: a value x of such a vertex u is
+    removed when u = x, propagated, empties a domain; the removal is then
+    propagated, and every vertex and value is tried again, until one full
+    round removes nothing. Returns False when a domain empties."""
+    n_p = len(dom)
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n_p):
+            if assigned >> u & 1:
+                continue
+            for x in range(len(t_adj)):
+                if not dom[u] >> x & 1 or dom[u] == 1 << x:
+                    continue
+                trial = list(dom)
+                trial[u] = 1 << x
+                if not _reference_propagate(trial, p_adj, t_adj, 1 << u):
+                    dom[u] &= ~(1 << x)
+                    if not _reference_propagate(dom, p_adj, t_adj, 1 << u):
+                        return False
+                    changed = True
+    return True
+
+
+def _reference_assign(dom, p_adj, t_adj, assigned, nodes, probe):
     n_p = len(dom)
     all_mask = (1 << n_p) - 1
     if assigned == all_mask:
@@ -281,6 +318,7 @@ def _reference_assign(dom, p_adj, t_adj, assigned, nodes):
             best_v = v
     v = best_v
     vals = dom[v]
+    first = True
     while vals:
         bit = vals & -vals
         vals ^= bit
@@ -288,10 +326,15 @@ def _reference_assign(dom, p_adj, t_adj, assigned, nodes):
         saved = dom[:]
         dom[v] = bit
         if _reference_propagate(dom, p_adj, t_adj, 1 << v):
-            result = _reference_assign(dom, p_adj, t_adj, assigned | (1 << v), nodes)
+            result = _reference_assign(dom, p_adj, t_adj, assigned | (1 << v), nodes, probe)
             if result is not None:
                 return result
         dom[:] = saved
+        if probe and first and vals:
+            if not _reference_sac(dom, p_adj, t_adj, assigned):
+                return None
+            vals &= dom[v]
+        first = False
     return None
 
 

@@ -171,6 +171,19 @@ class TestClassify:
         assert (result.branch, result.index) == ("gallery", 4)
         assert result.value == Fraction(4, 7)
 
+    def test_two_layer_mycielskian_of_c7(self):
+        # Its failing step, M_2(C_7) -> C7bar, is a deep refutation into a
+        # symmetric target: 397,490 nodes without probing.
+        h = oracles.mycielskian(cycle(7), 2)
+        result = classify(h)
+        assert (result.r, result.branch, result.index, result.value) == (
+            3,
+            "gallery",
+            4,
+            Fraction(4, 7),
+        )
+        assert result.validate(h)
+
     def test_hub_plus_petersen(self):
         result = classify(join(complete(1), petersen()))
         assert (result.branch, result.index) == ("gallery", 2)

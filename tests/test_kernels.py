@@ -20,6 +20,7 @@ from degstab.gallery import SEQUENCE, sequence_graph
 from degstab.graphs import Graph, complete, cycle, cycle_complement, join, petersen, wheel
 from degstab.verify import CorpusSpec
 
+from tests import oracles
 from tests.oracles import (
     mycielskian,
     random_graph,
@@ -99,6 +100,72 @@ def test_hom_search_matches_reference_at_63_and_64_vertices(kernels, pattern, ta
     )
 
 
+def _is_hom(mapping, p_adj, t_adj):
+    n = len(p_adj)
+    edges = [(v, u) for v in range(n) for u in range(n) if p_adj[v] >> u & 1]
+    return all(t_adj[mapping[v]] >> mapping[u] & 1 for v, u in edges)
+
+
+def test_probing_keeps_every_answer_on_random_pairs(kernels):
+    # Patterns of order 15 to 18 are probed; the answer must be the one the
+    # unprobed reference gives, and the witness a homomorphism.
+    rng = random.Random(73)
+    changed = refuted = 0
+    for _ in range(150):
+        p = random_graph(rng, rng.randint(15, 18), rng.uniform(0.15, 0.4)).adj
+        t = random_graph(rng, rng.randint(3, 7), rng.uniform(0.4, 0.8)).adj
+        got = kernels.hom_search(p, t)
+        plain = reference_hom_search(p, t, probe=False)
+        assert got == reference_hom_search(p, t)
+        assert (got[0] is None) == (plain[0] is None)
+        if got[0] is not None:
+            assert _is_hom(got[0], p, t)
+        changed += got[1] != plain[1]
+        refuted += got[0] is None
+    assert changed > 0 and refuted > 0
+
+
+@pytest.mark.parametrize("order", [14, 15])
+def test_probing_starts_at_pattern_order_15(kernels, monkeypatch, order):
+    # M_1(C_7), or M_1(C_7) less vertex 0, into C5: no homomorphism either
+    # way. Probing refutes both in 10 nodes, plain search in 15, so a kernel
+    # whose gate is not at 15 gets a node count wrong here.
+    p = mycielskian(cycle(7), 1).induced(range(15 - order, 15)).adj
+    t = cycle(5).adj
+    got = kernels.hom_search(p, t)
+    assert got == _purecore.hom_search(p, t) == reference_hom_search(p, t)
+    assert got == (None, 10 if order >= 15 else 15)
+    assert reference_hom_search(p, t, probe=False) == (None, 15)
+    monkeypatch.setattr(oracles, "REFERENCE_PROBE_ORDER", order)
+    assert reference_hom_search(p, t) == (None, 10)
+
+
+@pytest.mark.parametrize(
+    "pattern, target, plain_nodes",
+    [
+        (mycielskian(cycle(31), 1), cycle(5), 15),  # order 63
+        (mycielskian(cycle(7), 8), cycle(5), 115),  # order 64
+        (mycielskian(cycle(21), 2), cycle(5), None),  # order 64; 25,815 nodes unprobed
+        (mycielskian(cycle(32), 1), cycle(7), 7),  # order 65, pure only
+    ],
+    ids=["order63", "order64", "order64-deep", "order65"],
+)
+def test_probing_around_64_vertices(kernels, pattern, target, plain_nodes):
+    # Refutations whose node count probing changes, with every bit of a
+    # pattern mask in use at order 64.
+    p, t = pattern.adj, target.adj
+    if above_compiled_limit(kernels, p):
+        with pytest.raises(ValueError):
+            kernels.hom_search(p, t)
+        return
+    got = kernels.hom_search(p, t)
+    assert got == _purecore.hom_search(p, t) == reference_hom_search(p, t)
+    assert got[0] is None
+    if plain_nodes is not None:
+        assert reference_hom_search(p, t, probe=False) == (None, plain_nodes)
+        assert got[1] < plain_nodes
+
+
 @pytest.mark.parametrize(
     "graph",
     [cycle(63), cycle(64), mycielskian(cycle(31), 1), mycielskian(cycle(21), 2)],
@@ -151,10 +218,15 @@ def test_minima_leave_random_searches_unchanged(kernels):
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_minima_leave_scan_target_searches_unchanged(kernels, r):
+    # M_1(C_7), M_2(C_5), M_1(C_9) and C19(1,2) have 15 to 19 vertices, so
+    # their searches are probed: with minima, still the same witness in no
+    # more nodes.
     patterns = [
         mycielskian(cycle(5), 1),
         mycielskian(cycle(7), 1),
         mycielskian(cycle(5), 2),
+        mycielskian(cycle(9), 1),
+        Graph.from_edges(19, [(v, (v + s) % 19) for v in range(19) for s in (1, 2)]),
         join(complete(1), petersen()),
         join(complete(r - 3), cycle_complement(7)),
     ]
