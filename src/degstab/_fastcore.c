@@ -5,9 +5,9 @@
  * Each runs the pure kernel's algorithm with the same tie-breaking, so
  * results, witnesses and node counts are identical. The tests compare the
  * two kernel sets output for output: change both together. hom_search
- * probes (singleton arc consistency) at the same nodes and from the same
- * pattern order as the pure kernel; the closure it computes is unique, so
- * the two may sweep in different orders and still agree.
+ * probes (singleton arc consistency) at the same nodes as the pure kernel,
+ * under the same gate; the closure it computes is unique, so the two may
+ * sweep in different orders and still agree.
  *
  * A graph argument is a sequence of adjacency bitmasks, one per vertex, of
  * order at most 64. A larger graph raises ValueError, and a mask that is
@@ -26,8 +26,15 @@
 
 #define MAX_ORDER 64
 
-/* hom_search probes (see hs_probe) only for patterns of at least this order. */
+/* hom_search probes (see hs_probe) only for triangle-free patterns of at
+   least PROBE_ORDER vertices, with at most PROBE_BUDGET values to probe for
+   each node that the failed first value took. */
 #define PROBE_ORDER 15
+#define PROBE_BUDGET 2
+
+/* A search into a target of at most this order first tabulates N(D) for
+   every mask D of target vertices (see hs_propagate). */
+#define TABLE_ORDER 10
 
 typedef unsigned long long u64;
 
@@ -124,21 +131,27 @@ typedef struct {
     u64 t_adj[MAX_ORDER];
     u64 dom[MAX_ORDER];
     int n_p;
+    int probe;
     long long nodes;
+    int tabled;
+    u64 unions[1 << TABLE_ORDER];
 } HomSearch;
 
 /* Arc consistency on dom from the pattern vertices in dirty. As the target
    is symmetric, the values of u with a neighbour inside dom[v] are exactly
-   dom[u] & N(dom[v]), with N(D) the union of target neighbourhoods over D.
-   Returns 0 when a domain empties. */
+   dom[u] & N(dom[v]), with N(D) the union of target neighbourhoods over D,
+   read from s->unions when tabled. Returns 0 when a domain empties. */
 static int hs_propagate(const HomSearch *s, u64 *dom, u64 dirty)
 {
     while (dirty) {
         int v = ctz(dirty);
         dirty &= dirty - 1;
         u64 nv = 0;
-        for (u64 d = dom[v]; d; d &= d - 1)
-            nv |= s->t_adj[ctz(d)];
+        if (s->tabled)
+            nv = s->unions[dom[v]];
+        else
+            for (u64 d = dom[v]; d; d &= d - 1)
+                nv |= s->t_adj[ctz(d)];
         for (u64 nbrs = s->p_adj[v]; nbrs; nbrs &= nbrs - 1) {
             int u = ctz(nbrs);
             u64 nd = dom[u] & nv;
@@ -156,11 +169,11 @@ static int hs_propagate(const HomSearch *s, u64 *dom, u64 dirty)
 /* Singleton arc consistency over the vertices in free: a value whose
    assignment wipes out a domain is removed, and the removal propagated,
    until every value of every free domain survives its probe. The closure
-   is unique, so the sweep order does not change it. Here the vertices with
-   two or more values are swept cyclically, largest domains first (ties by
-   index), until a whole sweep removes nothing. Returns 0 when a domain
-   empties. */
-static int hs_probe(HomSearch *s, u64 free)
+   is unique, so the sweep order does not change it. Skipped when the
+   domains of two or more values hold more values than budget. Here those
+   vertices are swept cyclically, largest domains first (ties by index),
+   until a whole sweep removes nothing. Returns 0 when a domain empties. */
+static int hs_probe(HomSearch *s, u64 free, long long budget)
 {
     u64 trial[MAX_ORDER];
     int order[MAX_ORDER], count = 0;
@@ -172,7 +185,10 @@ static int hs_probe(HomSearch *s, u64 free)
             order[j] = order[j - 1];
         order[j] = u;
         count++;
+        budget -= size;
     }
+    if (budget < 0)
+        return 1;
     for (int stable = 0, i = 0; stable < count; i = i + 1 < count ? i + 1 : 0) {
         int u = order[i];
         stable++;
@@ -212,10 +228,10 @@ static int call_minima(PyObject *minima, u64 fixed, u64 *out)
 /* Branches on the unassigned vertex with the smallest domain (lowest index
    on ties), values ascending; returns 1 with every domain a single value,
    0 when there is none, and -1 when a minima call raised. Once the first
-   value fails and others remain, a pattern of order at least PROBE_ORDER
-   probes the unassigned vertices (hs_probe) and keeps the values that
-   survive. minima (NULL for none) is passed at the root and one level down
-   only: at that same point the rest are cut to the orbit minima of the
+   value fails and others remain, a node below the root of a search with
+   s->probe set gives hs_probe PROBE_BUDGET values for each node that value
+   took, and keeps the values that survive. minima (NULL for none) is
+   passed at the root and one level down only: at that same point the rest are cut to the orbit minima of the
    stabiliser of the root's value (of nothing at the root). */
 static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
 {
@@ -233,6 +249,7 @@ static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
     PyObject *below = assigned ? NULL : minima;
     u64 saved[MAX_ORDER];
     u64 vals = s->dom[v];
+    long long start = s->nodes;
     int first = 1;
     while (vals) {
         u64 bit = vals & -vals;
@@ -248,8 +265,8 @@ static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
         memcpy(s->dom, saved, s->n_p * sizeof(u64));
         if (first && vals) {
             first = 0;
-            if (s->n_p >= PROBE_ORDER) {
-                if (!hs_probe(s, unassigned))
+            if (s->probe && assigned) {
+                if (!hs_probe(s, unassigned, PROBE_BUDGET * (s->nodes - start)))
                     return 0;
                 vals &= s->dom[v];
             }
@@ -293,6 +310,17 @@ static PyObject *hom_search(PyObject *self, PyObject *const *args, Py_ssize_t na
         return Py_BuildValue("(Oi)", Py_None, 0);
     s.n_p = n_p;
     s.nodes = 0;
+    s.probe = n_p >= PROBE_ORDER;
+    for (int u = 0; u < n_p && s.probe; u++)
+        for (u64 nbrs = s.p_adj[u]; nbrs; nbrs &= nbrs - 1)
+            if (s.p_adj[u] & s.p_adj[ctz(nbrs)])
+                s.probe = 0;
+    s.tabled = n_t <= TABLE_ORDER;
+    if (s.tabled) {
+        s.unions[0] = 0;
+        for (u64 m = 1; m < 1ULL << n_t; m++)
+            s.unions[m] = s.unions[m & (m - 1)] | s.t_adj[ctz(m)];
+    }
     for (int i = 0; i < MAX_ORDER; i++)
         s.dom[i] = full_mask(n_t);
     if (!hs_propagate(&s, s.dom, full_mask(n_p)))

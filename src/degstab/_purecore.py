@@ -24,8 +24,11 @@ from itertools import product
 
 __all__ = ["hom_search", "brute_hom", "color_search", "min_edits", "odd_girth"]
 
-# hom_search probes (see there) only for patterns of at least this order.
+# hom_search probes (see there) only for triangle-free patterns of at least
+# PROBE_ORDER vertices, with at most PROBE_BUDGET values to probe for each
+# node that the failed first value took.
 PROBE_ORDER = 15
+PROBE_BUDGET = 2
 
 
 def hom_search(p_adj, t_adj, minima=None):
@@ -39,35 +42,43 @@ def hom_search(p_adj, t_adj, minima=None):
     Variable order: smallest live domain, lowest index on ties. Value
     order: ascending. Fully deterministic.
 
-    Probing: when the pattern has at least ``PROBE_ORDER`` vertices, a node
-    whose first value has failed, with values left, narrows the domains to
-    their singleton-arc-consistency closure over the vertices not yet
-    branched on. Each value x of each such domain of two or more values is
-    assigned and propagated; if a domain wipes out, x is removed and the
-    removal propagated; this repeats until nothing changes. A wipe-out
-    ends the node, and otherwise only the branching vertex's surviving
-    values are tried. This is exact, since a value is removed only when it
-    has no extension, and the closure is unique, so the order of the
-    probes does not change it. Probes are not counted in ``nodes``. The
-    gate reads the pattern's order only, so a subtree's search depends on
-    its domains alone, as the argument below needs.
+    Probing: a node below the root whose first value has failed, with
+    values left, may narrow the domains to their singleton-arc-consistency
+    closure over the vertices not yet branched on. Each value x of each
+    such domain of two or more values is assigned and propagated; if a
+    domain wipes out, x is removed and the removal propagated; this repeats
+    until nothing changes. A wipe-out ends the node, and otherwise only the
+    branching vertex's surviving values are tried. This is exact, since a
+    value is removed only when it has no extension, and the closure is
+    unique, so the order of the probes does not change it. Probes are not
+    counted in ``nodes``. A node probes only if the pattern is triangle-free
+    with at least ``PROBE_ORDER`` vertices, and the domains to probe hold at
+    most ``PROBE_BUDGET`` values for each node its first value took: a sweep
+    then costs a bounded multiple of what the node has already spent,
+    since a probe costs about what a node does. Deep refutations of
+    Mycielskian-like patterns pay for it; on random patterns, triangles or
+    not, ungated probing was several times slower (BENCH_probing.json).
+    Each test reads the pattern or the node's own subtree, never nodes
+    spent elsewhere, so a subtree's search depends on its domains alone,
+    as the argument below needs; the root, whose first subtree holds the
+    cuts of the level below, does not probe.
 
     ``minima``, if given, maps a mask F of target vertices to the mask of
     the least vertex of each orbit of the pointwise stabiliser of F in
     Aut(T) (``backend.orbit_minima``). It is called only once the first
-    value at a level has failed, after the probing, and only at two
+    value at a level has failed, after any probing, and only at two
     levels: at the root, with F empty, and one level down, with F the
     root's value {x}; the rest of that level's values are then cut to the
     minima. This is exact and changes no result or witness. Composing a
     homomorphism with an automorphism gives a homomorphism, and arc
     consistency and its singleton closure commute with automorphisms, so
-    the propagated and probed root domains are Aut(T)-invariant and, once
-    x is assigned, Stab(x)-invariant. A value y that is not the least of
-    its orbit is then the image of a smaller value m of the same domain
-    under an automorphism that fixes everything already assigned, so y's
-    subtree has a solution only if m's has one. m comes earlier and failed,
-    so the cut subtrees hold no solution, the first solution found is the
-    same, and the node count can only fall.
+    the propagated root domains are Aut(T)-invariant and, once x is
+    assigned, the propagated and probed ones Stab(x)-invariant. A value y
+    that is not the least of its orbit is then the image of a smaller value
+    m of the same domain under an automorphism that fixes everything
+    already assigned, so y's subtree has a solution only if m's has one. m
+    comes earlier and failed, so the cut subtrees hold no solution, the
+    first solution found is the same, and the node count can only fall.
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
@@ -91,7 +102,9 @@ def hom_search(p_adj, t_adj, minima=None):
     if not _propagate(dom, p_nbrs, t_adj, union, (1 << n_p) - 1):
         return None, 0
     nodes = [0]
-    mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes, minima)
+    # [may probe, the pattern until _probe has tested it for a triangle]
+    gate = [n_p >= PROBE_ORDER, p_adj]
+    mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes, minima, gate)
     return mapping, nodes[0]
 
 
@@ -132,7 +145,7 @@ def _propagate(dom, p_nbrs, t_adj, union, dirty):
     return True
 
 
-def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima):
+def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima, gate):
     # minima is given at the root and one level down only (see hom_search).
     n_p = len(dom)
     all_mask = (1 << n_p) - 1
@@ -151,6 +164,7 @@ def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima):
     v = best_v
     vals = dom[v]
     below = None if assigned else minima
+    start = nodes[0]
     first = True
     while vals:
         bit = vals & -vals
@@ -159,17 +173,18 @@ def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima):
         saved = dom[:]
         dom[v] = bit
         if _propagate(dom, p_nbrs, t_adj, union, 1 << v):
-            result = _assign(dom, p_nbrs, t_adj, union, assigned | (1 << v), nodes, below)
+            result = _assign(dom, p_nbrs, t_adj, union, assigned | (1 << v), nodes, below, gate)
             if result is not None:
                 return result
         dom[:] = saved
         if first and vals:
-            # The first value failed: probe (large patterns only), then keep
-            # one value per orbit of the stabiliser of the root's value (of
+            # The first value failed: probe (see hom_search), then keep one
+            # value per orbit of the stabiliser of the root's value (of
             # nothing at the root).
             first = False
-            if n_p >= PROBE_ORDER:
-                if not _probe(dom, p_nbrs, t_adj, union, all_mask & ~assigned):
+            if gate[0] and assigned:
+                budget = PROBE_BUDGET * (nodes[0] - start)
+                if not _probe(dom, p_nbrs, t_adj, union, all_mask & ~assigned, budget, gate):
                     return None
                 vals &= dom[v]
             if minima is not None:
@@ -177,18 +192,30 @@ def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima):
     return None
 
 
-def _probe(dom, p_nbrs, t_adj, union, free):
-    # Singleton arc consistency over the vertices in free (see hom_search).
-    # Those with two or more values are swept cyclically, largest domains
-    # first (about 14% fewer probes than index order on the delta-structured
-    # searches), stopping after a whole sweep without a removal. Returns
-    # False when a domain empties.
+def _probe(dom, p_nbrs, t_adj, union, free, budget, gate):
+    # Singleton arc consistency over the vertices in free (see hom_search),
+    # skipped when those domains of two or more values hold more values
+    # than budget, or when the pattern has a triangle (tested on the first
+    # pass that gets this far, which clears gate[0] if so). They are swept cyclically, largest domains first (about
+    # 14% fewer probes than index order on the delta-structured searches),
+    # stopping after a whole sweep without a removal. Returns False when a
+    # domain empties.
     order = []
     while free:
         u = (free & -free).bit_length() - 1
         free &= free - 1
-        if dom[u] & (dom[u] - 1):
+        size = dom[u].bit_count()
+        if size > 1:
             order.append(u)
+            budget -= size
+    if budget < 0:
+        return True
+    p_adj = gate[1]
+    if p_adj is not None:
+        gate[1] = None
+        if any(p_adj[u] & p_adj[w] for u, nbrs in enumerate(p_nbrs) for w in nbrs):
+            gate[0] = False
+            return True
     order.sort(key=lambda u: -dom[u].bit_count())
     count = len(order)
     stable = i = 0

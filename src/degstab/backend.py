@@ -33,9 +33,10 @@ maps a mask F of target vertices to the mask of the least vertex of each
 orbit of the pointwise stabiliser of F in Aut(T). The kernels use it to
 break value symmetry at the first two levels of the search; see
 ``_purecore.hom_search`` for why this leaves every result and witness
-unchanged and can only lower the node count. For patterns of at least
-``_purecore.PROBE_ORDER`` (15) vertices, both kernels also probe: at a node
-whose first value failed they narrow the domains to their singleton arc
+unchanged and can only lower the node count. For triangle-free patterns
+of at least ``_purecore.PROBE_ORDER`` (15) vertices, both kernels also
+probe: at a node below the root whose first value failed after a search
+deep enough to pay for it, they narrow the domains to their singleton arc
 consistency closure before trying the rest. That is exact too, and both
 kernel sets compute the same closure, so they still agree node for node.
 

@@ -218,8 +218,10 @@ def mycielskian(base: Graph, k: int) -> Graph:
     return Graph.from_edges(apex + 1, edges)
 
 
-# Patterns of at least this order are probed by reference_hom_search.
+# Triangle-free patterns of at least this order are probed by
+# reference_hom_search, with this many values to probe per node spent.
 REFERENCE_PROBE_ORDER = 15
+REFERENCE_PROBE_BUDGET = 2
 
 
 def reference_hom_search(p_adj, t_adj, probe=True):
@@ -228,10 +230,14 @@ def reference_hom_search(p_adj, t_adj, probe=True):
     Same contract, variable order and value order as the kernel: smallest
     live domain first (lowest index on ties), values ascending, and
     arc-consistency propagation after every assignment. When ``probe`` is
-    true and the pattern has at least ``REFERENCE_PROBE_ORDER`` vertices, a
-    node whose first value failed, with values left, first narrows the
-    domains to their singleton-arc-consistency closure (``_reference_sac``)
-    and keeps only the values of the branching vertex that survive it.
+    true and the pattern is triangle-free with at least
+    ``REFERENCE_PROBE_ORDER`` vertices, a node other than the root whose
+    first value failed, with values left, first narrows the domains to
+    their singleton-arc-consistency closure (``_reference_sac``) and keeps
+    only the values of the branching vertex that survive it, provided the
+    unassigned vertices with two or more values have at most
+    ``REFERENCE_PROBE_BUDGET`` values for each node, its own included, that
+    the failed value took.
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
@@ -243,7 +249,13 @@ def reference_hom_search(p_adj, t_adj, probe=True):
     if not _reference_propagate(dom, p_adj, t_adj, (1 << n_p) - 1):
         return None, 0
     nodes = [0]
-    probe = probe and n_p >= REFERENCE_PROBE_ORDER
+    triangle = any(
+        p_adj[u] >> v & p_adj[v] >> w & p_adj[u] >> w & 1
+        for u in range(n_p)
+        for v in range(u + 1, n_p)
+        for w in range(v + 1, n_p)
+    )
+    probe = probe and n_p >= REFERENCE_PROBE_ORDER and not triangle
     mapping = _reference_assign(dom, p_adj, t_adj, 0, nodes, probe)
     return mapping, nodes[0]
 
@@ -318,6 +330,7 @@ def _reference_assign(dom, p_adj, t_adj, assigned, nodes, probe):
             best_v = v
     v = best_v
     vals = dom[v]
+    start = nodes[0]
     first = True
     while vals:
         bit = vals & -vals
@@ -330,10 +343,13 @@ def _reference_assign(dom, p_adj, t_adj, assigned, nodes, probe):
             if result is not None:
                 return result
         dom[:] = saved
-        if probe and first and vals:
-            if not _reference_sac(dom, p_adj, t_adj, assigned):
-                return None
-            vals &= dom[v]
+        if probe and assigned and first and vals:
+            sizes = [dom[u].bit_count() for u in range(n_p) if not assigned >> u & 1]
+            sweep = sum(size for size in sizes if size > 1)
+            if sweep <= REFERENCE_PROBE_BUDGET * (nodes[0] - start):
+                if not _reference_sac(dom, p_adj, t_adj, assigned):
+                    return None
+                vals &= dom[v]
         first = False
     return None
 

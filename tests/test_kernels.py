@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from degstab import _purecore
+from degstab import _purecore, decode
 from degstab.backend import orbit_minima
 from degstab.classify import scan_target
 from degstab.gallery import SEQUENCE, sequence_graph
@@ -106,13 +106,32 @@ def _is_hom(mapping, p_adj, t_adj):
     return all(t_adj[mapping[v]] >> mapping[u] & 1 for v, u in edges)
 
 
+def _triangle_free(rng, order, p):
+    """Each pair joined with probability p unless it would close a triangle."""
+    adj = [0] * order
+    for j in range(1, order):
+        for i in range(j):
+            if rng.random() < p and not adj[i] & adj[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    edges = [(i, j) for j in range(order) for i in range(j) if adj[i] >> j & 1]
+    return Graph.from_edges(order, edges)
+
+
 def test_probing_keeps_every_answer_on_random_pairs(kernels):
-    # Patterns of order 15 to 18 are probed; the answer must be the one the
-    # unprobed reference gives, and the witness a homomorphism.
+    # Triangle-free patterns of order 15 to 18, half of them Mycielskians,
+    # may be probed: the answer must be the one the unprobed reference
+    # gives, and the witness a homomorphism. Patterns with a triangle never
+    # are: their search is the unprobed one exactly.
     rng = random.Random(73)
     changed = refuted = 0
-    for _ in range(150):
-        p = random_graph(rng, rng.randint(15, 18), rng.uniform(0.15, 0.4)).adj
+    for i in range(150):
+        if i % 3 == 0:
+            p = random_graph(rng, rng.randint(15, 18), rng.uniform(0.3, 0.5)).adj
+        elif i % 3 == 1:
+            p = _triangle_free(rng, rng.randint(15, 18), rng.uniform(0.15, 0.4)).adj
+        else:
+            p = mycielskian(_triangle_free(rng, rng.randint(7, 8), 0.5), 1).adj
         t = random_graph(rng, rng.randint(3, 7), rng.uniform(0.4, 0.8)).adj
         got = kernels.hom_search(p, t)
         plain = reference_hom_search(p, t, probe=False)
@@ -120,50 +139,74 @@ def test_probing_keeps_every_answer_on_random_pairs(kernels):
         assert (got[0] is None) == (plain[0] is None)
         if got[0] is not None:
             assert _is_hom(got[0], p, t)
+        if i % 3 == 0:
+            assert got == plain
         changed += got[1] != plain[1]
         refuted += got[0] is None
     assert changed > 0 and refuted > 0
 
 
+# Maximal triangle-free graphs on 14 and 15 vertices (edges added in a
+# random order unless they close a triangle), with no homomorphism to C7bar:
+# graph6 text, then the node counts of the search without and with probing.
+GATE_PATTERNS = {
+    14: ("MPERJHOqAWP[HKGF?", 5215, 2356),
+    15: ("NHoGUk`hclBEt_AGgBG", 4081, 2269),
+}
+
+
 @pytest.mark.parametrize("order", [14, 15])
 def test_probing_starts_at_pattern_order_15(kernels, monkeypatch, order):
-    # M_1(C_7), or M_1(C_7) less vertex 0, into C5: no homomorphism either
-    # way. Probing refutes both in 10 nodes, plain search in 15, so a kernel
-    # whose gate is not at 15 gets a node count wrong here.
-    p = mycielskian(cycle(7), 1).induced(range(15 - order, 15)).adj
-    t = cycle(5).adj
+    # Probing changes the node count of both refutations, once the gate
+    # admits their order, so a kernel whose gate is not at 15 gets one of
+    # them wrong.
+    text, plain, probed = GATE_PATTERNS[order]
+    p = decode(text, "graph6").adj
+    t = cycle_complement(7).adj
     got = kernels.hom_search(p, t)
     assert got == _purecore.hom_search(p, t) == reference_hom_search(p, t)
-    assert got == (None, 10 if order >= 15 else 15)
-    assert reference_hom_search(p, t, probe=False) == (None, 15)
+    assert got == (None, probed if order >= 15 else plain)
+    assert reference_hom_search(p, t, probe=False) == (None, plain)
     monkeypatch.setattr(oracles, "REFERENCE_PROBE_ORDER", order)
-    assert reference_hom_search(p, t) == (None, 10)
+    assert reference_hom_search(p, t) == (None, probed)
+
+
+def test_probing_skips_the_root(kernels):
+    # M_1(C_9) into a 6-vertex graph with two triangles (no homomorphism):
+    # the probes below the root take 1,570 nodes to 608; a probe at the
+    # root too would take them to 564.
+    p = mycielskian(cycle(9), 1).adj
+    t = decode("EPl_", "graph6").adj
+    assert kernels.hom_search(p, t) == reference_hom_search(p, t) == (None, 608)
+    assert reference_hom_search(p, t, probe=False) == (None, 1570)
+
+
+_M2_C21 = mycielskian(cycle(21), 2)
 
 
 @pytest.mark.parametrize(
-    "pattern, target, plain_nodes",
+    "pattern",
     [
-        (mycielskian(cycle(31), 1), cycle(5), 15),  # order 63
-        (mycielskian(cycle(7), 8), cycle(5), 115),  # order 64
-        (mycielskian(cycle(21), 2), cycle(5), None),  # order 64; 25,815 nodes unprobed
-        (mycielskian(cycle(32), 1), cycle(7), 7),  # order 65, pure only
+        _M2_C21.induced(range(1, 64)),
+        _M2_C21,
+        Graph.from_edges(65, list(_M2_C21.edges()) + [(63, 64)]),
     ],
-    ids=["order63", "order64", "order64-deep", "order65"],
+    ids=lambda g: f"order{g.order}",
 )
-def test_probing_around_64_vertices(kernels, pattern, target, plain_nodes):
-    # Refutations whose node count probing changes, with every bit of a
-    # pattern mask in use at order 64.
-    p, t = pattern.adj, target.adj
+def test_probing_around_64_vertices(kernels, monkeypatch, pattern):
+    # M_2(C_21) into C5 has no homomorphism and takes 25,815 nodes
+    # unprobed, less its first vertex or with a pendant vertex too; order
+    # 64 uses every bit of a pattern mask, and order 65 is pure only.
+    p, t = pattern.adj, cycle(5).adj
     if above_compiled_limit(kernels, p):
         with pytest.raises(ValueError):
             kernels.hom_search(p, t)
         return
     got = kernels.hom_search(p, t)
     assert got == _purecore.hom_search(p, t) == reference_hom_search(p, t)
+    monkeypatch.setattr(_purecore, "PROBE_ORDER", 66)
     assert got[0] is None
-    if plain_nodes is not None:
-        assert reference_hom_search(p, t, probe=False) == (None, plain_nodes)
-        assert got[1] < plain_nodes
+    assert got[1] < _purecore.hom_search(p, t)[1] == 25815
 
 
 @pytest.mark.parametrize(
@@ -218,9 +261,9 @@ def test_minima_leave_random_searches_unchanged(kernels):
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_minima_leave_scan_target_searches_unchanged(kernels, r):
-    # M_1(C_7), M_2(C_5), M_1(C_9) and C19(1,2) have 15 to 19 vertices, so
-    # their searches are probed: with minima, still the same witness in no
-    # more nodes.
+    # M_1(C_7), M_2(C_5) and M_1(C_9) are triangle-free with 15 to 19
+    # vertices, so their deep searches are probed: with minima, still the
+    # same witness in no more nodes. C19(1,2) has triangles and is not.
     patterns = [
         mycielskian(cycle(5), 1),
         mycielskian(cycle(7), 1),
