@@ -231,8 +231,9 @@ static int call_minima(PyObject *minima, u64 fixed, u64 *out)
    value fails and others remain, a node below the root of a search with
    s->probe set gives hs_probe PROBE_BUDGET values for each node that value
    took, and keeps the values that survive. minima (NULL for none) is
-   passed at the root and one level down only: at that same point the rest are cut to the orbit minima of the
-   stabiliser of the root's value (of nothing at the root). */
+   passed at the root and one level down only: at that same point the rest
+   are cut to the orbit minima of the stabiliser of the root's value (of
+   nothing at the root). */
 static int hs_assign(HomSearch *s, u64 unassigned, PyObject *minima)
 {
     if (!unassigned)

@@ -31,7 +31,7 @@ from .errors import (
     UndefinedThresholdError,
     WrongBranchError,
 )
-from .gallery import SEQUENCE, sequence_graph
+from .gallery import CONSTANT_TABLE, SEQUENCE, sequence_graph
 from .graphs import Graph, complete, cycle, join, odd_girth
 from .hom import HomWitness, chromatic_number, homomorphism_search
 
@@ -51,23 +51,10 @@ __all__ = [
     "classify",
 ]
 
-CONSTANT_TABLE: dict[int, Fraction] = {
-    1: Fraction(2, 3),
-    2: Fraction(2, 5),
-    3: Fraction(1, 3),
-    4: Fraction(2, 7),
-    5: Fraction(1, 4),
-    6: Fraction(2, 9),
-    7: Fraction(1, 5),
-    8: Fraction(2, 11),
-    9: Fraction(1, 6),
-    10: Fraction(2, 13),
-    11: Fraction(1, 7),
-}
-
 
 def threshold_constant(index: int) -> Fraction:
-    """Table constant for scan index 1..11."""
+    """Table constant for scan index 1..11, derived from the gallery's
+    certified weightings (see ``degstab.gallery``)."""
     if index not in CONSTANT_TABLE:
         raise InvalidParameterError("constant table index must be in 1..11")
     return CONSTANT_TABLE[index]

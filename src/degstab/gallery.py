@@ -18,16 +18,23 @@ members all live on a 7-cycle v0..v6 (vertices 0..6, extra vertices after):
   {6,1}, plus vertex 7 adjacent to {0, 2, 3} and vertex 8 adjacent to
   {0, 3, 5}.
 
-Each graph is checked on first construction: the scan members must be
-4-chromatic, and the four stored weightings must blow up to the exact
-(min degree, order) pairs (5, 9), (6, 11), (7, 13), (8, 15). Any slip in
-an edge list fails loudly here rather than corrupting results downstream.
+Each scan member j stores one extremal weighting w, of ratio
+t_j = min_v (Aw)_v / |w| over every vertex, and ``CONSTANT_TABLE`` is
+derived as C(j - 1) = 1/(1 - t_j) - 2. A dual y >= 0 (y = w unless stored)
+with max_v (Ay)_v <= t_j |y| proves t_j optimal, by LP duality: every
+weighting x has min_v (Ax)_v <= x.Ay / |y| <= t_j |x| (Chvatal, *Linear
+Programming*, 1983). At import each member is checked 4-chromatic and each
+(w, y) pair checked, so a slip in an edge list, a weight or a dual fails
+``import degstab`` rather than corrupting results downstream.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from ._purecore import _bits
 from .errors import InvalidParameterError, UnsupportedError
-from .graphs import Graph, Weighting, blow_up, complete, degree_profile, petersen, wheel
+from .graphs import Graph, Weighting, complete, petersen, wheel
 from .hom import chromatic_number
 
 SEQUENCE = (
@@ -94,23 +101,55 @@ _BUILDERS = {
     "Petersen": petersen,
 }
 
-# Weights indexed by gallery vertex number; see the layouts above.
+# Weights indexed by gallery vertex number; see the layouts above. The
+# wheel W(2k+1) puts 1 on its rim 0..2k and 2k - 1 on its hub 2k + 1.
 _WEIGHTS = {
+    "K4": (1, 1, 1, 1),
+    "C7bar": (1,) * 7,
     "H2plus": (2, 0, 2, 1, 1, 2, 0, 1),
     "H2": (3, 1, 2, 1, 1, 2, 1),
     "T0": (4, 0, 0, 1, 1, 0, 0, 3, 3, 1),
     "H1plusplus": (5, 0, 3, 2, 0, 3, 0, 1, 1),
+    **{f"W{2 * k + 1}": (1,) * (2 * k + 1) + (2 * k - 1,) for k in range(2, 8)},
 }
 
-_EXPECTED_RATIO = {
-    "H2plus": (5, 9),
-    "H2": (6, 11),
-    "T0": (7, 13),
-    "H1plusplus": (8, 15),
+# Duals of the three members whose weighting is not its own dual.
+_DUALS = {
+    "H2plus": (2, 1, 1, 1, 1, 2, 1, 0),
+    "T0": (2, 1, 1, 0, 1, 2, 1, 1, 4, 0),
+    "H1plusplus": (3, 1, 3, 2, 2, 3, 1, 0, 0),
 }
 
-_graph_cache: dict[str, Graph] = {}
-_weighting_cache: dict[str, Weighting] = {}
+
+def _weighted_degrees(g: Graph, weights) -> list[int]:
+    # (Aw)_v for every vertex v of g.
+    return [sum(weights[u] for u in _bits(m)) for m in g.adj]
+
+
+def _ratio(w: Weighting) -> Fraction:
+    """t = min_v (Aw)_v / |w| over every base vertex, zero weights included."""
+    return Fraction(min(_weighted_degrees(w.base, w.weights)), w.total)
+
+
+def _certify(tag: str) -> Weighting:
+    """The member's stored weighting, once the member is checked 4-chromatic
+    and its dual checked to prove the weighting's ratio optimal."""
+    g = _GRAPHS[tag]
+    if chromatic_number(g) != 4:
+        raise AssertionError(f"gallery transcription of {tag} is not 4-chromatic")
+    w = Weighting(g, _WEIGHTS[tag])
+    y = Weighting(g, _DUALS.get(tag, w.weights))
+    t = _ratio(w)
+    if max(_weighted_degrees(g, y.weights)) > t * y.total:
+        raise AssertionError(f"the dual of {tag} does not prove its ratio {t} optimal")
+    return w
+
+
+_GRAPHS = {tag: build() for tag, build in _BUILDERS.items()}
+_WEIGHTINGS = {tag: _certify(tag) for tag in SEQUENCE}
+CONSTANT_TABLE: dict[int, Fraction] = {
+    j: 1 / (1 - _ratio(_WEIGHTINGS[tag])) - 2 for j, tag in enumerate(SEQUENCE) if j
+}
 
 _CANONICAL = {tag.lower(): tag for tag in TAGS}
 _CANONICAL.update({f"f{i}": tag for i, tag in enumerate(SEQUENCE, start=1)})
@@ -125,13 +164,7 @@ def canonical_tag(name: str) -> str:
 
 
 def gallery_graph(name: str) -> Graph:
-    tag = canonical_tag(name)
-    if tag not in _graph_cache:
-        g = _BUILDERS[tag]()
-        if tag in SEQUENCE and chromatic_number(g) != 4:
-            raise AssertionError(f"gallery transcription of {tag} is not 4-chromatic")
-        _graph_cache[tag] = g
-    return _graph_cache[tag]
+    return _GRAPHS[canonical_tag(name)]
 
 
 def sequence_graph(index: int) -> Graph:
@@ -144,17 +177,10 @@ def sequence_graph(index: int) -> Graph:
 def gallery_weighting(name: str) -> Weighting:
     """The stored extremal weighting for H2plus, H2, T0 or H1plusplus.
 
-    These maximise the blow-up's minimum degree relative to its order;
-    their exact (min degree, order) pairs are asserted on first build.
+    These maximise the blow-up's minimum degree relative to its order; the
+    import-time check proves each optimal.
     """
     tag = canonical_tag(name)
-    if tag not in _WEIGHTS:
+    if tag not in WEIGHTED_TAGS:
         raise UnsupportedError(f"no stored weighting for gallery graph {tag}")
-    if tag not in _weighting_cache:
-        w = Weighting(gallery_graph(tag), _WEIGHTS[tag])
-        blown = blow_up(w)
-        profile = degree_profile(blown)
-        if (profile.min_degree, blown.order) != _EXPECTED_RATIO[tag]:
-            raise AssertionError(f"stored weighting for {tag} misses its degree ratio")
-        _weighting_cache[tag] = w
-    return _weighting_cache[tag]
+    return _WEIGHTINGS[tag]

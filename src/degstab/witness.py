@@ -2,17 +2,17 @@
 
 Each exact classification is backed by a concrete family of graphs that
 avoid the classified pattern while holding minimum degree arbitrarily close
-to the threshold. The families are blow-ups of small join constructions:
+to the threshold. Its members are balanced blow-ups of a seed, and every
+seed but an odd cycle comes from one rule, ``_join_seed(a, w)``: a clique
+on a vertices joined to the base of a weighting w, blown up by w on the
+base and (1 - t)|w| on each clique vertex, where t = min_v (Aw)_v / |w|.
+The seed's ratio is then exactly 1 - 1/(a + 1/(1 - t)).
 
-* odd-cycle branch: balanced blow-ups of the failing odd cycle;
-* gallery branch, wheel failures: a clique on r - 2 vertices blown up by
-  2g - 1 joined to the (2g+1)-cycle, which is regular and meets the
-  threshold ratio exactly;
-* gallery branch, other failures: the stored extremal weighting of the
-  failing gallery graph, joined to a clique on r - 3 vertices blown up by
-  (order - min degree) of that weighted graph; again exact;
-* interval branch: the regular clique-cycle family at the failing index,
-  which meets the interval's lower bound.
+* odd-cycle branch: the failing odd cycle;
+* gallery branch: a = r - 3 and the failing member's certified weighting,
+  but a = r - 2 and the unit (2k+1)-cycle for K4 = W3 and the wheels
+  W(2k+1) = K1 + C(2k+1): the same seed, labelled clique first;
+* interval branch: a = r - 2 and the unit (2g+1)-cycle.
 
 ``certify`` builds the family member near a requested order and checks the
 three facts that make it a witness: the classified pattern has no
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .classify import DeltaResult, scan_target
 from .errors import InvalidParameterError
-from .gallery import SEQUENCE, WEIGHTED_TAGS, gallery_graph, gallery_weighting
+from .gallery import _WEIGHTINGS, SEQUENCE, WEIGHTED_TAGS, _weighted_degrees, gallery_weighting
 from .graphs import (
     Graph,
     Weighting,
@@ -53,6 +53,8 @@ __all__ = [
     "certify",
 ]
 
+_LOCALLY_BIPARTITE = ("C7bar",) + WEIGHTED_TAGS
+
 
 def odd_cycle_witness(g: int, n: int) -> Graph:
     """Balanced blow-up of the (2g+1)-cycle on n vertices."""
@@ -61,6 +63,12 @@ def odd_cycle_witness(g: int, n: int) -> Graph:
     if n < 2 * g + 1:
         raise InvalidParameterError("n must be at least the cycle length")
     return balanced_blow_up(cycle(2 * g + 1), n)
+
+
+def _join_seed(a: int, w: Weighting) -> Graph:
+    # The clique weight (1 - t)|w|: |w| minus the least weighted degree.
+    clique = w.total - min(_weighted_degrees(w.base, w.weights))
+    return blow_up(Weighting(join(complete(a), w.base), (clique,) * a + w.weights))
 
 
 def regular_join_witness(r: int, g: int) -> Graph:
@@ -73,33 +81,22 @@ def regular_join_witness(r: int, g: int) -> Graph:
         raise InvalidParameterError("r must be at least 3")
     if g < 1:
         raise InvalidParameterError("g must be at least 1")
-    base = join(complete(r - 2), cycle(2 * g + 1))
-    weights = (2 * g - 1,) * (r - 2) + (1,) * (2 * g + 1)
-    return blow_up(Weighting(base, weights))
+    return _join_seed(r - 2, Weighting(cycle(2 * g + 1), (1,) * (2 * g + 1)))
 
 
 def gallery_join_witness(r: int, tag: str) -> Graph:
     """Extremal join witness for the locally bipartite gallery members.
 
-    C7bar carries the unit weighting and the four weighted members their
-    stored one. The weighting is blown up, and the clique classes carry
-    weight (order - min degree) of that blow-up, which is 7 - 4 = 3 for
-    C7bar. For r = 3 the clique part is empty and the blow-up itself is
-    returned.
+    The member carries its certified weighting (unit weights for C7bar),
+    joined to a clique on r - 3 vertices whose classes have weight
+    (1 - t)|w|, which is 7 - 4 = 3 for C7bar. For r = 3 the clique part is
+    empty and the weighted blow-up itself is returned.
     """
     if r < 3:
         raise InvalidParameterError("r must be at least 3")
-    if tag == "C7bar":
-        w = Weighting(gallery_graph("C7bar"), (1,) * 7)
-    elif tag in WEIGHTED_TAGS:
-        w = gallery_weighting(tag)
-    else:
+    if tag not in _LOCALLY_BIPARTITE:
         raise InvalidParameterError(f"no join witness for gallery graph {tag!r}")
-    blown = blow_up(w)
-    clique_weight = blown.order - degree_profile(blown).min_degree
-    base = join(complete(r - 3), w.base)
-    weights = (clique_weight,) * (r - 3) + w.weights
-    return blow_up(Weighting(base, weights))
+    return _join_seed(r - 3, _WEIGHTINGS[tag])
 
 
 def scaled_gallery_weighting(tag: str, scale: int, strict: bool = False) -> Weighting:
@@ -130,25 +127,18 @@ def edit_lower_bound(base_order: int, n: int) -> int:
     return (n // base_order) ** 2
 
 
-def _wheel_cycle_param(tag: str) -> int:
-    # W(2k+1) -> k
-    return (int(tag[1:]) - 1) // 2
-
-
 def witness_for_gallery_index(r: int, index: int) -> Graph:
     """Witness family seed for a failure at the given 1..12 scan index.
 
-    Wheels (and the clique at index 1) use the regular clique-cycle family;
-    the locally bipartite members use their stored extremal weighting.
+    K4 = W3 and the wheels W(2k+1), of order 2k + 2, use the cycle-join seed
+    of k; the locally bipartite members their certified weighting.
     """
     if not 1 <= index <= len(SEQUENCE):
         raise InvalidParameterError(f"scan index must be in 1..{len(SEQUENCE)}")
     tag = SEQUENCE[index - 1]
-    if tag == "K4":
-        return regular_join_witness(r, 1)
-    if tag.startswith("W"):
-        return regular_join_witness(r, _wheel_cycle_param(tag))
-    return gallery_join_witness(r, tag)
+    if tag in _LOCALLY_BIPARTITE:
+        return gallery_join_witness(r, tag)
+    return regular_join_witness(r, _WEIGHTINGS[tag].base.order // 2 - 1)
 
 
 def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:

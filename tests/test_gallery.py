@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from degstab import (
@@ -7,6 +9,7 @@ from degstab import (
     complete,
     cycle,
     degree_profile,
+    gallery,
     has_homomorphism,
     is_a_locally_bipartite,
     join,
@@ -103,6 +106,37 @@ class TestWeightings:
             gallery_weighting("W5")
         with pytest.raises(UnsupportedError):
             gallery_weighting("Petersen")
+
+
+class TestCertificates:
+    def test_import_certifies_every_member(self):
+        assert gallery._WEIGHTINGS == {tag: gallery._certify(tag) for tag in SEQUENCE}
+        assert gallery._WEIGHTINGS["K4"].weights == (1, 1, 1, 1)
+        assert gallery._ratio(gallery._WEIGHTINGS["K4"]) == Fraction(3, 4)
+        for k in range(2, 8):
+            w = gallery._WEIGHTINGS[f"W{2 * k + 1}"]
+            assert w.weights == (1,) * (2 * k + 1) + (2 * k - 1,)
+
+    @pytest.mark.parametrize(
+        "table,tag,vertex,value",
+        [
+            ("_WEIGHTS", "H2plus", 0, 1),  # weight 2 -> 1
+            ("_DUALS", "T0", 8, 3),  # dual entry 4 -> 3
+            ("_WEIGHTS", "W7", 7, 4),  # hub weight 5 -> 4
+        ],
+    )
+    def test_one_wrong_entry_fails_the_check(self, monkeypatch, table, tag, vertex, value):
+        entries = list(getattr(gallery, table)[tag])
+        assert entries[vertex] != value
+        entries[vertex] = value
+        monkeypatch.setitem(getattr(gallery, table), tag, tuple(entries))
+        with pytest.raises(AssertionError, match=f"dual of {tag} does not prove"):
+            gallery._certify(tag)
+
+    def test_a_negative_dual_is_rejected(self, monkeypatch):
+        monkeypatch.setitem(gallery._DUALS, "H2plus", (2, 1, 1, 1, 1, 2, 1, -1))
+        with pytest.raises(InvalidParameterError):
+            gallery._certify("H2plus")
 
 
 class TestNaming:

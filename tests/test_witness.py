@@ -27,6 +27,7 @@ from degstab import witness
 from degstab.classify import scan_target
 from degstab.errors import InvalidParameterError
 from degstab.gallery import gallery_graph
+from degstab.verify import EDIT_ORACLE_BUDGET, brute_min_edits_to_k_partite
 from degstab.witness import witness_base
 
 
@@ -153,6 +154,26 @@ class TestEditLowerBound:
         assert edit_lower_bound(5, 10) == 4
         assert edit_lower_bound(5, 11) == 4
         assert edit_lower_bound(7, 21) == 9
+
+    def test_against_brute_force(self):
+        # Every seed of more than r colours, blown up to each order from its
+        # own to twice that, at most 16 and within the oracle's budget (13 at
+        # r = 4). The seeds of j = 6, 10 and 12 are r-colourable and stay
+        # out: at r = 3 the j = 6 seed needs 0 edits against a bound of 1.
+        # Their strict seeds, blow-ups of the whole member, will cover them.
+        for r in (3, 4):
+            seeds = {j: witness_for_gallery_index(r, j) for j in range(1, 13)}
+            seeds.update({("g", g): regular_join_witness(r, g) for g in range(1, 7)})
+            colourable = {j for j, s in seeds.items() if chromatic_number(s) <= r}
+            assert colourable == {6, 10, 12}, r
+            for key, seed in seeds.items():
+                if key in colourable:
+                    continue
+                for n in range(seed.order, min(2 * seed.order, 16) + 1):
+                    if r**n > EDIT_ORACLE_BUDGET:
+                        break
+                    edits = brute_min_edits_to_k_partite(balanced_blow_up(seed, n), r)
+                    assert edits >= edit_lower_bound(seed.order, n), (r, key, n)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
