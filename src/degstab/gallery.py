@@ -4,8 +4,12 @@ The twelve-graph scan sequence is, in order:
 
     K4, W5, W7, C7bar, W9, H2plus, W11, H2, W13, T0, W15, H1plusplus
 
-plus the Petersen graph as an extra named construction. The non-wheel
-members all live on a 7-cycle v0..v6 (vertices 0..6, extra vertices after):
+plus the Petersen graph as an extra named construction. Each member is
+stated once, in one of two tables. ``_WHEELS`` lists the wheels by rim
+length k: ``wheel(k)`` is the k-cycle 0..k-1 plus hub k, and K4 is W3, as
+``wheel(3)`` equals ``complete(4)`` labels included. ``_EDGES`` lists the
+other five as (order, edge list); they all live on a 7-cycle v0..v6
+(vertices 0..6, extra vertices after):
 
 * ``C7bar``  -- the 7-cycle plus all seven distance-2 chords. As a labelled
   graph this is the square of the cycle; it is isomorphic to the complement.
@@ -20,7 +24,8 @@ members all live on a 7-cycle v0..v6 (vertices 0..6, extra vertices after):
 
 Each scan member j stores one extremal weighting w, of ratio
 t_j = min_v (Aw)_v / |w| over every vertex, and ``CONSTANT_TABLE`` is
-derived as C(j - 1) = 1/(1 - t_j) - 2. A dual y >= 0 (y = w unless stored)
+derived as C(j - 1) = 1/(1 - t_j) - 2. A wheel's w is 1 on the rim and
+k - 2 on the hub (unit weights on K4). A dual y >= 0 (y = w unless stored)
 with max_v (Ay)_v <= t_j |y| proves t_j optimal, by LP duality: every
 weighting x has min_v (Ax)_v <= x.Ay / |y| <= t_j |x| (Chvatal, *Linear
 Programming*, 1983). At import each member is checked 4-chromatic and each
@@ -34,7 +39,7 @@ from fractions import Fraction
 
 from ._purecore import _bits
 from .errors import InvalidParameterError, UnsupportedError
-from .graphs import Graph, Weighting, complete, petersen, wheel
+from .graphs import Graph, Weighting, petersen, wheel
 from .hom import chromatic_number
 
 SEQUENCE = (
@@ -54,63 +59,43 @@ SEQUENCE = (
 TAGS = SEQUENCE + ("Petersen",)
 WEIGHTED_TAGS = ("H2plus", "H2", "T0", "H1plusplus")
 
-_CYCLE7 = [(v, (v + 1) % 7) for v in range(7)]
-_H2_CHORDS = [(1, 3), (3, 5), (5, 0), (0, 2), (2, 4), (4, 6)]
+_WHEELS = {"K4": 3, **{f"W{k}": k for k in range(5, 16, 2)}}
 
-
-def _build_c7bar() -> Graph:
-    chords = [(v, (v + 2) % 7) for v in range(7)]
-    return Graph.from_edges(7, _CYCLE7 + chords)
-
-
-def _build_h2() -> Graph:
-    return Graph.from_edges(7, _CYCLE7 + _H2_CHORDS)
-
-
-def _build_h2plus() -> Graph:
-    extra = [(7, 0), (7, 2), (7, 5)]
-    return Graph.from_edges(8, _CYCLE7 + _H2_CHORDS + extra)
-
-
-def _build_t0() -> Graph:
-    near1 = [(7, v) for v in range(7) if v != 1]
-    near6 = [(8, v) for v in range(7) if v != 6]
-    low = [(9, 0), (9, 7), (9, 8)]
-    return Graph.from_edges(10, _CYCLE7 + near1 + near6 + low)
-
-
-def _build_h1plusplus() -> Graph:
-    chords = [(3, 5), (5, 0), (0, 2), (2, 4), (6, 1)]
-    extra = [(7, 0), (7, 2), (7, 3), (8, 0), (8, 5), (8, 3)]
-    return Graph.from_edges(9, _CYCLE7 + chords + extra)
-
-
-_BUILDERS = {
-    "K4": lambda: complete(4),
-    "W5": lambda: wheel(5),
-    "W7": lambda: wheel(7),
-    "C7bar": _build_c7bar,
-    "W9": lambda: wheel(9),
-    "H2plus": _build_h2plus,
-    "W11": lambda: wheel(11),
-    "H2": _build_h2,
-    "W13": lambda: wheel(13),
-    "T0": _build_t0,
-    "W15": lambda: wheel(15),
-    "H1plusplus": _build_h1plusplus,
-    "Petersen": petersen,
+_C7 = [(v, (v + 1) % 7) for v in range(7)]
+_H2 = _C7 + [(1, 3), (3, 5), (5, 0), (0, 2), (2, 4), (4, 6)]
+_EDGES = {
+    "C7bar": (7, _C7 + [(v, (v + 2) % 7) for v in range(7)]),
+    "H2plus": (8, _H2 + [(7, 0), (7, 2), (7, 5)]),
+    "H2": (7, _H2),
+    "T0": (
+        10,
+        _C7
+        + [(7, v) for v in range(7) if v != 1]
+        + [(8, v) for v in range(7) if v != 6]
+        + [(9, 0), (9, 7), (9, 8)],
+    ),
+    "H1plusplus": (
+        9,
+        _C7
+        + [(3, 5), (5, 0), (0, 2), (2, 4), (6, 1)]
+        + [(7, 0), (7, 2), (7, 3), (8, 0), (8, 5), (8, 3)],
+    ),
 }
 
-# Weights indexed by gallery vertex number; see the layouts above. The
-# wheel W(2k+1) puts 1 on its rim 0..2k and 2k - 1 on its hub 2k + 1.
+_GRAPHS = {
+    **{tag: wheel(k) for tag, k in _WHEELS.items()},
+    **{tag: Graph.from_edges(order, edges) for tag, (order, edges) in _EDGES.items()},
+    "Petersen": petersen(),
+}
+
+# Weights indexed by gallery vertex number; see the layouts above.
 _WEIGHTS = {
-    "K4": (1, 1, 1, 1),
+    **{tag: (1,) * k + (k - 2,) for tag, k in _WHEELS.items()},
     "C7bar": (1,) * 7,
     "H2plus": (2, 0, 2, 1, 1, 2, 0, 1),
     "H2": (3, 1, 2, 1, 1, 2, 1),
     "T0": (4, 0, 0, 1, 1, 0, 0, 3, 3, 1),
     "H1plusplus": (5, 0, 3, 2, 0, 3, 0, 1, 1),
-    **{f"W{2 * k + 1}": (1,) * (2 * k + 1) + (2 * k - 1,) for k in range(2, 8)},
 }
 
 # Duals of the three members whose weighting is not its own dual.
@@ -145,7 +130,6 @@ def _certify(tag: str) -> Weighting:
     return w
 
 
-_GRAPHS = {tag: build() for tag, build in _BUILDERS.items()}
 _WEIGHTINGS = {tag: _certify(tag) for tag in SEQUENCE}
 CONSTANT_TABLE: dict[int, Fraction] = {
     j: 1 / (1 - _ratio(_WEIGHTINGS[tag])) - 2 for j, tag in enumerate(SEQUENCE) if j

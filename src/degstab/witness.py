@@ -10,8 +10,8 @@ The seed's ratio is then exactly 1 - 1/(a + 1/(1 - t)).
 
 * odd-cycle branch: the failing odd cycle;
 * gallery branch: a = r - 3 and the failing member's certified weighting,
-  but a = r - 2 and the unit (2k+1)-cycle for K4 = W3 and the wheels
-  W(2k+1) = K1 + C(2k+1): the same seed, labelled clique first;
+  but a = r - 2 and the unit k-cycle for a wheel of rim length k, K4 = W3
+  included, since W(k) = K1 + C(k): the same seed, labelled clique first;
 * interval branch: a = r - 2 and the unit (2g+1)-cycle.
 
 ``certify`` builds the family member near a requested order and checks the
@@ -28,7 +28,14 @@ from fractions import Fraction
 
 from .classify import DeltaResult, scan_target
 from .errors import InvalidParameterError
-from .gallery import _WEIGHTINGS, SEQUENCE, WEIGHTED_TAGS, _weighted_degrees, gallery_weighting
+from .gallery import (
+    _WEIGHTINGS,
+    _WHEELS,
+    SEQUENCE,
+    _weighted_degrees,
+    canonical_tag,
+    gallery_weighting,
+)
 from .graphs import (
     Graph,
     Weighting,
@@ -52,9 +59,6 @@ __all__ = [
     "CertificationReport",
     "certify",
 ]
-
-_LOCALLY_BIPARTITE = ("C7bar",) + WEIGHTED_TAGS
-
 
 def odd_cycle_witness(g: int, n: int) -> Graph:
     """Balanced blow-up of the (2g+1)-cycle on n vertices."""
@@ -90,11 +94,14 @@ def gallery_join_witness(r: int, tag: str) -> Graph:
     The member carries its certified weighting (unit weights for C7bar),
     joined to a clique on r - 3 vertices whose classes have weight
     (1 - t)|w|, which is 7 - 4 = 3 for C7bar. For r = 3 the clique part is
-    empty and the weighted blow-up itself is returned.
+    empty and the weighted blow-up itself is returned. The tag is any name
+    ``canonical_tag`` accepts; the wheels (K4 = W3 included) and the
+    Petersen graph have no join witness.
     """
     if r < 3:
         raise InvalidParameterError("r must be at least 3")
-    if tag not in _LOCALLY_BIPARTITE:
+    tag = canonical_tag(tag)
+    if tag in _WHEELS or tag not in SEQUENCE:
         raise InvalidParameterError(f"no join witness for gallery graph {tag!r}")
     return _join_seed(r - 3, _WEIGHTINGS[tag])
 
@@ -130,15 +137,15 @@ def edit_lower_bound(base_order: int, n: int) -> int:
 def witness_for_gallery_index(r: int, index: int) -> Graph:
     """Witness family seed for a failure at the given 1..12 scan index.
 
-    K4 = W3 and the wheels W(2k+1), of order 2k + 2, use the cycle-join seed
-    of k; the locally bipartite members their certified weighting.
+    A wheel of rim length k = 2g + 1, K4 = W3 included, uses the cycle-join
+    seed of g; the other members their certified weighting.
     """
     if not 1 <= index <= len(SEQUENCE):
         raise InvalidParameterError(f"scan index must be in 1..{len(SEQUENCE)}")
     tag = SEQUENCE[index - 1]
-    if tag in _LOCALLY_BIPARTITE:
-        return gallery_join_witness(r, tag)
-    return regular_join_witness(r, _WEIGHTINGS[tag].base.order // 2 - 1)
+    if tag in _WHEELS:
+        return regular_join_witness(r, _WHEELS[tag] // 2)
+    return gallery_join_witness(r, tag)
 
 
 def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:

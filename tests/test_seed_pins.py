@@ -1,17 +1,21 @@
-"""Byte pins for every seed graph the witness families can start from.
+"""Byte pins for the gallery and every seed graph the witness families can
+start from.
 
-Each value is the first 16 hex digits of the sha256 of the seed's graph6
-text, written by the independent encoder in ``tests.oracles``; the odd
-cycles are short enough to pin as text. A change to how a seed is built
-that moves a single vertex label shows up here, and in ``certify``'s and
-``degstab witness``'s output.
+Each seed value is the first 16 hex digits of the sha256 of the seed's
+graph6 text, written by the independent encoder in ``tests.oracles``; the
+odd cycles and the gallery graphs are short enough to pin as text. A change
+to how a gallery graph or a seed is built that moves a single vertex label
+shows up here, and in ``certify``'s and ``degstab witness``'s output.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from degstab.classify import scan_target
+from degstab import gallery
+from degstab.classify import CONSTANT_TABLE, scan_target
+from degstab.graphs import complete, wheel
 from degstab.witness import odd_cycle_witness, regular_join_witness, witness_for_gallery_index
 
 from . import oracles
@@ -76,6 +80,51 @@ CYCLE_JOIN_SEEDS = {
     (5, 6): "2494b0de22c5fee9",
 }
 
+GALLERY_GRAPHS = {
+    "K4": "C~",
+    "W5": "Ehfw",
+    "W7": "GhCKN{",
+    "C7bar": "FzM]W",
+    "W9": "IhCGGE@~w",
+    "H2plus": "GzM[\\G",
+    "W11": "KhCGGC@?K?~~",
+    "H2": "FzM[W",
+    "W13": "MhCGGC@?G?_@_@~~_",
+    "T0": "IhCKL~{_W",
+    "W15": "OhCGGC@?G?_@?@??o?N~~",
+    "H1plusplus": "HxM]LaS",
+    "Petersen": "IheA@GUAo",
+}
+
+GALLERY_WEIGHTS = {
+    "K4": (1, 1, 1, 1),
+    "W5": (1, 1, 1, 1, 1, 3),
+    "W7": (1, 1, 1, 1, 1, 1, 1, 5),
+    "C7bar": (1, 1, 1, 1, 1, 1, 1),
+    "W9": (1, 1, 1, 1, 1, 1, 1, 1, 1, 7),
+    "H2plus": (2, 0, 2, 1, 1, 2, 0, 1),
+    "W11": (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9),
+    "H2": (3, 1, 2, 1, 1, 2, 1),
+    "W13": (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 11),
+    "T0": (4, 0, 0, 1, 1, 0, 0, 3, 3, 1),
+    "W15": (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 13),
+    "H1plusplus": (5, 0, 3, 2, 0, 3, 0, 1, 1),
+}
+
+CONSTANTS = {
+    1: Fraction(2, 3),
+    2: Fraction(2, 5),
+    3: Fraction(1, 3),
+    4: Fraction(2, 7),
+    5: Fraction(1, 4),
+    6: Fraction(2, 9),
+    7: Fraction(1, 5),
+    8: Fraction(2, 11),
+    9: Fraction(1, 6),
+    10: Fraction(2, 13),
+    11: Fraction(1, 7),
+}
+
 ODD_CYCLE_SEEDS = {
     1: "Bw",
     2: "Dhc",
@@ -105,3 +154,26 @@ def test_odd_cycle_seed_bytes(g):
     # witness_base's odd-cycle seed is the scan target itself.
     assert oracles.graph6(scan_target("odd-cycle", g, 2)) == ODD_CYCLE_SEEDS[g]
     assert oracles.graph6(odd_cycle_witness(g, 2 * g + 1)) == ODD_CYCLE_SEEDS[g]
+
+
+@pytest.mark.parametrize("tag", gallery.TAGS)
+def test_gallery_graph_bytes(tag):
+    assert oracles.graph6(gallery.gallery_graph(tag)) == GALLERY_GRAPHS[tag]
+
+
+def test_gallery_weights():
+    assert {tag: w.weights for tag, w in gallery._WEIGHTINGS.items()} == GALLERY_WEIGHTS
+
+
+def test_constant_table():
+    assert CONSTANT_TABLE == CONSTANTS
+
+
+def test_k4_is_the_wheel_w3():
+    assert wheel(3) == complete(4)
+
+
+def test_each_member_is_stated_once():
+    for tag in gallery.SEQUENCE:
+        assert (tag in gallery._WHEELS) + (tag in gallery._EDGES) == 1
+    assert len(gallery._WHEELS) + len(gallery._EDGES) == len(gallery.SEQUENCE)

@@ -87,8 +87,9 @@ class TestGalleryJoinWitness:
     def test_r3_returns_the_weighted_blow_up(self):
         from degstab import gallery_weighting
 
-        for tag in ("H2plus", "H2", "T0", "H1plusplus"):
-            assert gallery_join_witness(3, tag) == blow_up(gallery_weighting(tag))
+        # Any name canonical_tag accepts, as in gallery_weighting.
+        for name in ("H2plus", "H2", "T0", "H1plusplus", "h2plus", "F6", " H2 "):
+            assert gallery_join_witness(3, name) == blow_up(gallery_weighting(name))
 
     def test_ratio_grid(self):
         expected_index = {"C7bar": 3, "H2plus": 5, "H2": 7, "T0": 9, "H1plusplus": 11}
@@ -106,8 +107,9 @@ class TestGalleryJoinWitness:
             assert gallery_join_witness(r, "C7bar") == blow_up(Weighting(base, weights))
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            gallery_join_witness(3, "W5")
+        for name in ("W5", "w15", "K4", "F1", "Petersen"):
+            with pytest.raises(InvalidParameterError, match="no join witness"):
+                gallery_join_witness(3, name)
         with pytest.raises(InvalidParameterError):
             gallery_join_witness(2, "H2")
 
