@@ -21,6 +21,7 @@ display code.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,11 +86,17 @@ def interval_upper(r: int) -> Fraction:
     return degree_threshold(r, len(CONSTANT_TABLE))
 
 
+# Scan targets ``scan_target`` keeps. Every scan, ``validate`` and ``certify``
+# asks for the same few dozen immutable graphs.
+_TARGET_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_TARGET_MEMO_SIZE, typed=True)
 def scan_target(kind: str, index: int, r: int) -> Graph:
     """The index-th target of a scan: the (2g+1)-cycle for "odd-cycle",
     a clique on r - 3 vertices joined to gallery member j for
     "gallery-join", and a clique on r - 2 vertices joined to the
-    (2g+1)-cycle for "cycle-join"."""
+    (2g+1)-cycle for "cycle-join". Built once per argument triple."""
     if kind == "odd-cycle":
         return cycle(2 * index + 1)
     if kind == "gallery-join":

@@ -54,12 +54,15 @@ def _load_graph(path: str, override: str | None) -> Graph:
 
 def _emit_graph(g: Graph, fmt: str, out: str | None) -> None:
     text = codecs.encode(g, fmt)
-    if not text.endswith("\n"):
-        text += "\n"
+    # The line break is written on its own: appending it would copy the text.
+    end = "" if text.endswith("\n") else "\n"
     if out is None:
         sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
-        Path(out).write_text(text)
+        with Path(out).open("w") as f:
+            f.write(text)
+            f.write(end)
 
 
 def _add_input(parser: argparse.ArgumentParser, name: str = "file") -> None:

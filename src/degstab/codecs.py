@@ -2,13 +2,17 @@
 
 graph6 is bit-exact: the order header is followed by the upper triangle of
 the adjacency matrix read column by column, packed big-endian into 6-bit
-groups, each offset by 63. Both directions hold that triangle as one string
-of n(n-1)/2 "0"/"1" characters, column j being bits 0..j-1 of vertex j's
-mask, and cut it into or rebuild it from 6-character chunks. Orders up to
-258047 (the three-byte header form) are supported; the eight-byte form is
-rejected as unsupported. Decoding is strict: out-of-range bytes, wrong
-lengths and nonzero padding bits are all parse errors carrying a byte
-offset.
+groups, each offset by 63. That is base64 with another alphabet, so both
+directions go through ``binascii``: the encoder writes the triangle, column
+j being bits 0..j-1 of vertex j's mask, as "0"/"1" strings of whole 24-bit
+groups, about 6 KB of output at a time, turns each into bytes with
+``int.to_bytes``, base64-encodes them and maps the alphabet with one
+``bytes.translate``; the decoder maps the alphabet back, base64-decodes the
+body and reads the triangle from ``int.from_bytes``, mirroring it with one
+strided slice per vertex. Orders up to 258047 (the three-byte header form)
+are supported; the eight-byte form is rejected as unsupported. Decoding is
+strict: out-of-range bytes, wrong lengths and nonzero padding bits are all
+parse errors carrying a byte offset.
 
 The edge-list format is a "n m" header line followed by m lines "u v" with
 0-indexed endpoints. JSON is {"order": n, "edges": [[u, v], ...]}. Both
@@ -18,10 +22,10 @@ header cannot ask for an arbitrarily large graph.
 
 from __future__ import annotations
 
+import binascii
 import json
 import re
 
-from ._purecore import _bits
 from .errors import InvalidParameterError, ParseError, UnsupportedError
 from .graphs import Graph
 
@@ -29,8 +33,14 @@ FORMATS = ("graph6", "edge-list", "json")
 
 _G6_MAX_ORDER = 258047
 _G6_HEADER = ">>graph6<<"
-# Each 6-character chunk of the bit string to its graph6 byte.
-_G6_BYTE = {format(b, "06b"): chr(63 + b) for b in range(64)}
+# The 6-bit value v is base64's v-th letter and graph6's chr(63 + v).
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_BASE64_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_G6_OUTSIDE = re.compile("[^?-~]")
+# Bits of the triangle encoded at a time: whole 24-bit groups, so that the
+# encoder's working strings stay small next to its output.
+_G6_CHUNK_BITS = 24 * 2048
 
 
 def encode(g: Graph, fmt: str) -> str:
@@ -61,10 +71,43 @@ def _encode_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    # Column j holds the pairs (0, j), ..., (j - 1, j): bits 0..j-1 of adj[j].
-    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(map(_G6_BYTE.__getitem__, re.findall(".{6}", bits)))
+    need = (n * (n - 1) // 2 + 5) // 6
+    # Room for the last 24-bit group whole; its padding characters are cut.
+    out = bytearray(len(head) + -(-need // 4) * 4)
+    out[: len(head)] = head.encode("ascii")
+    pos = len(head)
+    for bits in _triangle_groups(g.adj):
+        end = pos + len(bits) // 6
+        raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+        out[pos:end] = binascii.b2a_base64(raw, newline=False).translate(_G6_FROM_BASE64)
+        pos = end
+    del out[len(head) + need :]
+    return out.decode("ascii")
+
+
+def _triangle_groups(adj: tuple[int, ...]):
+    """The upper triangle in column order as "0"/"1" strings of whole 24-bit
+    groups, about ``_G6_CHUNK_BITS`` at a time, the last one zero-padded."""
+    top = 1 << len(adj)
+    row, digits = None, ""
+    # Each column is held backwards, so the list is joined last first and
+    # the result turned round.
+    columns, held = [], 0
+    for j in range(1, len(adj)):
+        if adj[j] != row:  # a blow-up class shares one row
+            row = adj[j]
+            digits = bin(row | top)
+        # Column j is the pairs (0, j), ..., (j - 1, j): read backwards, bits
+        # j-1..0 of adj[j], the last j binary digits.
+        columns.append(digits[-j:])
+        held += j
+        if held >= _G6_CHUNK_BITS:
+            bits = "".join(columns[::-1])[::-1]
+            cut = held - held % 24
+            yield bits[:cut]
+            columns, held = [bits[cut:][::-1]], held - cut
+    if held:
+        yield "".join(columns[::-1])[::-1] + "0" * (-held % 24)
 
 
 def _decode_graph6(text: str) -> Graph:
@@ -75,9 +118,9 @@ def _decode_graph6(text: str) -> Graph:
     body = text.rstrip("\r\n")
     if not body:
         raise ParseError("empty graph6 input", base)
-    for i, ch in enumerate(body):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"byte {ord(ch)} outside graph6 range", base + i)
+    bad = _G6_OUTSIDE.search(body)
+    if bad:
+        raise ParseError(f"byte {ord(bad.group())} outside graph6 range", base + bad.start())
     if body[0] != "~":
         n = ord(body[0]) - 63
         pos = 1
@@ -101,17 +144,17 @@ def _decode_graph6(text: str) -> Graph:
         raise ParseError("graph6 body too short", base + len(body))
     if have > need:
         raise ParseError("trailing bytes after graph6 body", base + pos + need)
-    bits = "".join(format(ord(c) - 63, "06b") for c in body[pos:])
+    # "?" is graph6's zero: pad the body to whole base64 quads.
+    padded = (body[pos:] + "?" * (-need % 4)).encode("ascii").translate(_BASE64_FROM_G6)
+    bits = format(int.from_bytes(binascii.a2b_base64(padded), "big"), f"0{6 * len(padded)}b")
     pad = bits.find("1", npairs)
     if pad >= 0:
         raise ParseError("nonzero padding bits", base + pos + pad // 6)
-    masks = [0] * n
-    start = 0
-    for j in range(1, n):
-        masks[j] = int(bits[start : start + j][::-1], 2)
-        start += j
-        for i in _bits(masks[j]):
-            masks[i] |= 1 << j
+    # Row j of the square is column j, the pairs (0, j)..(j - 1, j), padded
+    # to n characters: row i holds vertex i's neighbours below it and
+    # column i, a strided slice, those above it.
+    square = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    masks = [int(square[i * n : (i + 1) * n][::-1], 2) | int(square[i::n][::-1], 2) for i in range(n)]
     return Graph(n, tuple(masks))
 
 

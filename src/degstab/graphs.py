@@ -27,8 +27,12 @@ class Graph:
 
     ``adj[v]`` has bit ``u`` set iff ``uv`` is an edge. The constructor
     rejects non-integer input, self-loops, asymmetric adjacency and
-    out-of-range endpoints. Equal consecutive rows (a class of a blow-up)
-    are checked once, as one run, against each of their neighbours.
+    out-of-range endpoints. It checks one pair of blow-up classes at a
+    time: a run of equal consecutive rows (a class) is checked once,
+    against its neighbours below it, and a run of at least two rows checks
+    each neighbour class below it once, through the lowest member it sees.
+    Every entry below the diagonal then has its mirror, so the adjacency
+    is symmetric iff it has as many entries above the diagonal as below.
     """
 
     order: int
@@ -40,11 +44,16 @@ class Graph:
             raise InvalidParameterError("order must be an integer")
         if order < 0:
             raise InvalidParameterError("order must be nonnegative")
-        v = 0
+        adj = self.adj
         try:
-            adj = tuple(self.adj)
+            if type(adj) is not tuple:
+                adj = tuple(adj)
+                object.__setattr__(self, "adj", adj)
             if len(adj) != order:
                 raise InvalidParameterError("adjacency length must equal order")
+            starts = 0  # bit s set iff a run of equal rows begins at row s
+            excess = 0  # entries above the diagonal minus those below it
+            v = 0
             while v < order:
                 mask = adj[v]
                 if mask >> order:  # a negative mask shifts to -1
@@ -54,22 +63,41 @@ class Graph:
                 end = v + 1
                 while end < order and not adj[end] ^ mask:
                     end += 1
-                run = ((1 << (end - v)) - 1) << v
+                low = 1 << v
+                run = (1 << end) - low
                 if mask & run:
                     v = (mask & run).bit_length() - 1
                     raise InvalidParameterError(f"vertex {v} has a self-loop")
-                rest = mask
+                starts |= low
+                rest = mask & (low - 1)
+                excess += (end - v) * (mask.bit_count() - 2 * rest.bit_count())
+                jump = end - v > 1
                 while rest:
                     bit = rest & -rest
-                    rest ^= bit
                     u = bit.bit_length() - 1
                     if adj[u] & run != run:
                         v = (run & ~adj[u]).bit_length() - 1
                         raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
+                    if jump:  # the rest of u's run has u's row: skip it
+                        above = starts & -(bit << 1)
+                        rest &= -(above & -above)
+                    else:
+                        rest ^= bit
                 v = end
         except TypeError:
             raise InvalidParameterError("adjacency must be a sequence of integer masks") from None
-        object.__setattr__(self, "adj", adj)
+        if excess:
+            # Some entry above the diagonal has no mirror below it: find the
+            # first, one neighbour run above each row at a time.
+            for v, mask in enumerate(adj):
+                rest = mask & -(2 << v)
+                while rest:
+                    bit = rest & -rest
+                    u = bit.bit_length() - 1
+                    if not (adj[u] >> v) & 1:
+                        raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
+                    above = starts & -(bit << 1)
+                    rest &= -(above & -above)
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":

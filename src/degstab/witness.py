@@ -23,6 +23,7 @@ seed is not r-colorable, so the counting bound on edge edits holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,11 +76,18 @@ def _join_seed(a: int, w: Weighting) -> Graph:
     return blow_up(Weighting(join(complete(a), w.base), (clique,) * a + w.weights))
 
 
+# Seeds each of ``regular_join_witness`` and ``witness_for_gallery_index``
+# keeps: ``certify`` asks for the same few immutable seeds again and again.
+_SEED_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_SEED_MEMO_SIZE, typed=True)
 def regular_join_witness(r: int, g: int) -> Graph:
     """Clique on r - 2 vertices blown up by 2g - 1, joined to a (2g+1)-cycle.
 
     Has (2g-1)(r-1) + 2 vertices, is regular of degree (2g-1)(r-2) + 2,
     and its degree/order ratio equals cycle_join_threshold(r, g) exactly.
+    Built once per argument pair.
     """
     if r < 3:
         raise InvalidParameterError("r must be at least 3")
@@ -134,11 +142,13 @@ def edit_lower_bound(base_order: int, n: int) -> int:
     return (n // base_order) ** 2
 
 
+@functools.lru_cache(maxsize=_SEED_MEMO_SIZE, typed=True)
 def witness_for_gallery_index(r: int, index: int) -> Graph:
     """Witness family seed for a failure at the given 1..12 scan index.
 
     A wheel of rim length k = 2g + 1, K4 = W3 included, uses the cycle-join
-    seed of g; the other members their certified weighting.
+    seed of g; the other members their certified weighting. Built once per
+    argument pair.
     """
     if not 1 <= index <= len(SEQUENCE):
         raise InvalidParameterError(f"scan index must be in 1..{len(SEQUENCE)}")

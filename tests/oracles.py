@@ -4,6 +4,11 @@ Everything here enumerates the full search space through the public Graph
 API only, sharing no machinery with the package's solvers. Keep these slow
 and obviously correct.
 
+``graph6`` and ``decode_graph6`` work from the format's definition, the
+decoder raising what the package's decoder raises. ``graph6_by_chunks`` is
+the package's earlier encoder, one "0"/"1" character per pair cut into
+6-character chunks, kept as a faster second reference for large orders.
+
 The exception is the pair of reference kernels at the end,
 ``reference_hom_search`` and ``reference_odd_girth``. They are the plain
 per-bit and per-state formulations of the bitset kernels in
@@ -17,9 +22,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 
 from degstab import Graph
+from degstab.errors import ParseError, UnsupportedError
 
 
 def edge_set(g: Graph) -> set[tuple[int, int]]:
@@ -110,6 +117,70 @@ def graph6(g: Graph) -> str:
         for start in range(0, len(bits), 6)
     ]
     return "".join(chr(63 + b) for b in head + body)
+
+
+_G6_BYTE = {format(b, "06b"): chr(63 + b) for b in range(64)}
+
+
+def graph6_by_chunks(g: Graph) -> str:
+    """graph6 as one string of n(n-1)/2 "0"/"1" characters, column j being
+    bits 0..j-1 of vertex j's mask, cut into 6-character chunks."""
+    n = g.order
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(map(_G6_BYTE.__getitem__, re.findall(".{6}", bits)))
+
+
+def decode_graph6(text: str) -> Graph:
+    """graph6 decoding from its definition, one byte and one pair at a time.
+
+    An optional ">>graph6<<" header and trailing line breaks are dropped.
+    Then, in this order, each failure raising at its offset in ``text``:
+    no body; a byte outside 63..126 (the first one); the eight-byte order
+    form (unsupported); a three-byte order form cut short, below 63, or
+    above 258047 (unsupported); a body shorter or longer than the pairs
+    need; a set padding bit (at its byte)."""
+    base = 0
+    if text.startswith(">>graph6<<"):
+        base = 10
+        text = text[base:]
+    body = text.rstrip("\r\n")
+    if not body:
+        raise ParseError("empty graph6 input", base)
+    values = []
+    for i, ch in enumerate(body):
+        if not 63 <= ord(ch) <= 126:
+            raise ParseError(f"byte {ord(ch)} outside graph6 range", base + i)
+        values.append(ord(ch) - 63)
+    if values[0] < 63:
+        n, pos = values[0], 1
+    elif len(values) > 1 and values[1] == 63:
+        raise UnsupportedError("graph6 eight-byte order header is not supported")
+    elif len(values) < 4:
+        raise ParseError("truncated graph6 order header", base + len(values))
+    else:
+        n, pos = values[1] * 64 * 64 + values[2] * 64 + values[3], 4
+        if n <= 62:
+            raise ParseError("non-canonical graph6 order header", base)
+        if n > 258047:
+            raise UnsupportedError("graph6 orders above 258047 are not supported")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(values) - pos < need:
+        raise ParseError("graph6 body too short", base + len(values))
+    if len(values) - pos > need:
+        raise ParseError("trailing bytes after graph6 body", base + pos + need)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = []
+    for k in range(6 * need):
+        if (values[pos + k // 6] >> (5 - k % 6)) & 1:
+            if k >= len(pairs):
+                raise ParseError("nonzero padding bits", base + pos + k // 6)
+            edges.append(pairs[k])
+    return Graph.from_edges(n, edges)
 
 
 def min_edits_to_k_partite(g: Graph, k: int) -> int:

@@ -1,13 +1,23 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degstab import Graph, complete, cycle, empty_graph, petersen
+from degstab import Graph, balanced_blow_up, complete, cycle, empty_graph, petersen
 from degstab.codecs import FORMATS, decode, encode
 from degstab.errors import InvalidParameterError, ParseError, UnsupportedError
+from degstab.witness import witness_for_gallery_index
 from tests import oracles
+
+
+def _outcome(decoder, text):
+    """The decoded graph, or the class, message and offset of the error."""
+    try:
+        return decoder(text)
+    except (ParseError, UnsupportedError) as e:
+        return type(e), str(e), getattr(e, "offset", None)
 
 
 class TestGraph6:
@@ -92,6 +102,46 @@ class TestGraph6Reference:
             assert pytest.raises(ParseError, decode, bad, "graph6").value.offset == 329
             err = pytest.raises(ParseError, decode, ">>graph6<<" + bad, "graph6").value
             assert err.offset == 339
+
+    def test_decode_errors_match_the_reference(self):
+        # Every truncation, and at every byte a substitute below, above and
+        # outside the range and a line break; at the order bytes and the last
+        # byte, where an in-range byte can raise too, "?", "~" and each
+        # one-bit flip.
+        rng = random.Random(70)
+        for n in [*range(71), 100]:
+            text = encode(oracles.random_graph(rng, n, 0.5), "graph6")
+            raising = {*range(1 if n <= 62 else 4), len(text) - 1}
+            for prefix in ("", ">>graph6<<"):
+                cases = [prefix + text[:k] for k in range(len(text) + 1)]
+                for k, ch in enumerate(text):
+                    subs = [">", "\x7f", "\n", "\xe9"]
+                    if k in raising:
+                        subs += ["?", "~"] + [chr(63 + ((ord(ch) - 63) ^ (1 << b))) for b in range(6)]
+                    cases += [prefix + text[:k] + sub + text[k + 1 :] for sub in subs]
+                for case in cases:
+                    expected = _outcome(oracles.decode_graph6, case)
+                    assert _outcome(lambda t: decode(t, "graph6"), case) == expected, case
+
+    def test_blow_up_of_order_2000_round_trips(self):
+        g = balanced_blow_up(witness_for_gallery_index(4, 5), 2000)
+        text = encode(g, "graph6")
+        assert text == oracles.graph6_by_chunks(g)
+        assert decode(text, "graph6") == g
+
+    def test_encoder_peak_memory_at_order_2000(self):
+        # The triangle is encoded a few thousand bits at a time, so the peak
+        # is the output held as bytes and then as text, about two bytes per
+        # output byte; one string of the whole triangle would be six.
+        g = balanced_blow_up(witness_for_gallery_index(4, 5), 2000)
+        tracemalloc.start()
+        try:
+            text = encode(g, "graph6")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 4 + (2000 * 1999 // 2 + 5) // 6
+        assert peak <= 4 * len(text)
 
 
 class TestEdgeList:

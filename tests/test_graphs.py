@@ -159,6 +159,33 @@ class TestConstructorAgainstOracle:
                 for mutant in mutants:
                     _agrees_with_oracle(n, mutant)
 
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("n", [60, 200, 2000])
+    def test_blow_up_neighbour_class_cuts(self, r, n):
+        # A row of one class loses an inner or the last member of a
+        # neighbour class, so that class is no longer covered whole: with
+        # the mirror flip the graph is valid, without it the one asymmetric
+        # pair is named.
+        for j in range(1, 13):
+            adj = balanced_blow_up(witness_for_gallery_index(r, j), n).adj
+            starts = [v for v in range(n) if v == 0 or adj[v] != adj[v - 1]]
+            runs = list(zip(starts, starts[1:] + [n]))
+            rng = random.Random(f"cut-{r}-{j}-{n}")
+            for a, b in rng.sample(runs, min(2, len(runs))):
+                u = rng.choice([w for w in range(n) if (adj[a] >> w) & 1])
+                c, d = next((c, d) for c, d in runs if c <= u < d)
+                for x in (a, b - 1, rng.randrange(a, b)):
+                    for w in (rng.randrange(c, d), d - 1):
+                        cut = _flip(adj, x, w)
+                        with pytest.raises(InvalidParameterError) as info:
+                            Graph(n, cut)
+                        assert str(info.value) == f"edge {w}-{x} is not symmetric"
+                        mirrored = _flip(cut, w, x)
+                        assert Graph(n, mirrored).adj == mirrored
+                        if n <= 200:
+                            _agrees_with_oracle(n, cut)
+                            _agrees_with_oracle(n, mirrored)
+
     @pytest.mark.parametrize("corpus", ["exhaustive:4", "random:40,9,0.5,9"])
     def test_every_one_bit_mutant(self, corpus):
         for g in CorpusSpec.parse(corpus).graphs():

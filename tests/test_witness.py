@@ -130,6 +130,45 @@ class TestWitnessForIndex:
             witness_for_gallery_index(3, 13)
 
 
+class TestMemos:
+    """Scan targets and seeds are built once; what the memo returns is what
+    a fresh build returns."""
+
+    MEMOS = (scan_target, regular_join_witness, witness_for_gallery_index)
+
+    def test_memos_are_bounded(self):
+        for memo in self.MEMOS:
+            assert 0 < memo.cache_info().maxsize < 10**4
+
+    def test_scan_targets_equal_fresh_builds(self):
+        for r in range(3, 9):
+            for kind, last in (("odd-cycle", 8), ("gallery-join", 12), ("cycle-join", 8)):
+                for j in range(1, last + 1):
+                    target = scan_target(kind, j, r)
+                    assert target == scan_target.__wrapped__(kind, j, r)
+                    assert scan_target(kind, j, r) is target
+
+    def test_seeds_equal_fresh_builds(self):
+        for r in range(3, 9):
+            for g in range(1, 9):
+                seed = regular_join_witness(r, g)
+                assert seed == regular_join_witness.__wrapped__(r, g)
+                assert regular_join_witness(r, g) is seed
+            for j in range(1, 13):
+                seed = witness_for_gallery_index(r, j)
+                assert seed == witness_for_gallery_index.__wrapped__(r, j)
+                assert witness_for_gallery_index(r, j) is seed
+
+    def test_invalid_arguments_still_raise(self):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                scan_target("wheel-join", 1, 3)
+            with pytest.raises(InvalidParameterError):
+                regular_join_witness(2, 1)
+            with pytest.raises(InvalidParameterError):
+                witness_for_gallery_index(3, 13)
+
+
 class TestScaledWeighting:
     def test_scaling_preserves_ratio(self):
         base = blow_up(scaled_gallery_weighting("H2plus", 1))
