@@ -37,7 +37,6 @@ _G6_HEADER = ">>graph6<<"
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _BASE64_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
-_G6_OUTSIDE = re.compile("[^?-~]")
 # Bits of the triangle encoded at a time: whole 24-bit groups, so that the
 # encoder's working strings stay small next to its output.
 _G6_CHUNK_BITS = 24 * 2048
@@ -90,24 +89,22 @@ def _triangle_groups(adj: tuple[int, ...]):
     groups, about ``_G6_CHUNK_BITS`` at a time, the last one zero-padded."""
     top = 1 << len(adj)
     row, digits = None, ""
-    # Each column is held backwards, so the list is joined last first and
-    # the result turned round.
     columns, held = [], 0
     for j in range(1, len(adj)):
         if adj[j] != row:  # a blow-up class shares one row
             row = adj[j]
             digits = bin(row | top)
-        # Column j is the pairs (0, j), ..., (j - 1, j): read backwards, bits
-        # j-1..0 of adj[j], the last j binary digits.
-        columns.append(digits[-j:])
+        # Column j is the pairs (0, j), ..., (j - 1, j): bits 0..j-1 of
+        # adj[j], the last j binary digits read backwards.
+        columns.append(digits[: -j - 1 : -1])
         held += j
         if held >= _G6_CHUNK_BITS:
-            bits = "".join(columns[::-1])[::-1]
+            bits = "".join(columns)
             cut = held - held % 24
             yield bits[:cut]
-            columns, held = [bits[cut:][::-1]], held - cut
+            columns, held = [bits[cut:]], held - cut
     if held:
-        yield "".join(columns[::-1])[::-1] + "0" * (-held % 24)
+        yield "".join(columns) + "0" * (-held % 24)
 
 
 def _decode_graph6(text: str) -> Graph:
@@ -118,7 +115,7 @@ def _decode_graph6(text: str) -> Graph:
     body = text.rstrip("\r\n")
     if not body:
         raise ParseError("empty graph6 input", base)
-    bad = _G6_OUTSIDE.search(body)
+    bad = re.search("[^?-~]", body)  # compiled on first use, not at import
     if bad:
         raise ParseError(f"byte {ord(bad.group())} outside graph6 range", base + bad.start())
     if body[0] != "~":

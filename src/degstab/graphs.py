@@ -33,6 +33,12 @@ class Graph:
     each neighbour class below it once, through the lowest member it sees.
     Every entry below the diagonal then has its mirror, so the adjacency
     is symmetric iff it has as many entries above the diagonal as below.
+
+    Faults are reported one run at a time, in row order: a non-integer
+    row as soon as it is read, then an out-of-range neighbour, a self-loop
+    or a neighbour below the run whose row does not cover the run. A
+    neighbour above a row without its mirror is reported only when no row
+    has any of these faults, as the first such pair row by row.
     """
 
     order: int
@@ -71,6 +77,10 @@ class Graph:
                 starts |= low
                 rest = mask & (low - 1)
                 excess += (end - v) * (mask.bit_count() - 2 * rest.bit_count())
+                # A run of two or more rows is most likely a blow-up class,
+                # whose neighbours come in runs too: skip the rest of each
+                # neighbour's run, which has its row. Short runs, as in small
+                # graphs, are cheaper to step through bit by bit.
                 jump = end - v > 1
                 while rest:
                     bit = rest & -rest
@@ -78,7 +88,7 @@ class Graph:
                     if adj[u] & run != run:
                         v = (run & ~adj[u]).bit_length() - 1
                         raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
-                    if jump:  # the rest of u's run has u's row: skip it
+                    if jump:
                         above = starts & -(bit << 1)
                         rest &= -(above & -above)
                     else:

@@ -90,6 +90,20 @@ class TestGraphValue:
             adj[0], adj[top] = 1 << top, 1
             assert Graph(order, tuple(adj)).has_edge(0, top)
 
+    def test_fault_precedence(self):
+        # A neighbour above a row without its mirror is reported only when
+        # no row has a fault of another kind or one below the diagonal.
+        for adj, message in [
+            ((0b100, 0, 0b1000), "vertex 2 has a neighbour out of range"),
+            ((0b100, 0b001, 0b000), "edge 1-0 is not symmetric"),
+            ((0b110, 0b001, 0b100), "vertex 2 has a self-loop"),
+            ((0b010, 0, 0), "edge 0-1 is not symmetric"),
+            ((0b110, 0b001, 0), "edge 0-2 is not symmetric"),
+        ]:
+            with pytest.raises(InvalidParameterError) as info:
+                Graph(3, adj)
+            assert str(info.value) == message, adj
+
     def test_induced(self):
         g = cycle(5)
         sub = g.induced([0, 1, 3])
