@@ -15,9 +15,6 @@ from .classify import (
     cycle_join_threshold,
     degree_threshold,
     interval_upper,
-    scan_cycle_joins,
-    scan_gallery_joins,
-    scan_odd_cycles,
     threshold_constant,
 )
 from .codecs import decode, encode

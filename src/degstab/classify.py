@@ -30,7 +30,6 @@ from .errors import (
     InvalidParameterError,
     ParseError,
     UndefinedThresholdError,
-    WrongBranchError,
 )
 from .gallery import CONSTANT_TABLE, SEQUENCE, sequence_graph
 from .graphs import Graph, complete, cycle, join, odd_girth
@@ -44,11 +43,7 @@ __all__ = [
     "interval_upper",
     "scan_target",
     "CertificateEntry",
-    "ScanResult",
     "DeltaResult",
-    "scan_odd_cycles",
-    "scan_gallery_joins",
-    "scan_cycle_joins",
     "classify",
 ]
 
@@ -119,56 +114,27 @@ class CertificateEntry:
         return scan_target(self.kind, self.index, r)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of one scan: the least failing index (None if every target
-    admitted a homomorphism), witnesses for all passes before the failure,
-    and the total backtracking nodes expended."""
-
-    index: int | None
-    certificate: tuple[CertificateEntry, ...]
-    nodes_expanded: int
+# The branch decided by a failure at each kind of scan step, and back.
+_BRANCH = {"odd-cycle": "odd-cycle", "gallery-join": "gallery", "cycle-join": "interval"}
+_KIND = {branch: kind for kind, branch in _BRANCH.items()}
 
 
-# The kind of scan whose failure decides each branch. An interval result
-# first passes all twelve gallery joins.
-_FAILING_KIND = {"odd-cycle": "odd-cycle", "gallery": "gallery-join", "interval": "cycle-join"}
+def _steps(h: Graph, r: int) -> list[tuple[str, int]]:
+    """Every (kind, index) scan step of h at r, in scan order.
 
+    r = 2: the odd cycles for g = 1..(odd girth + 1)/2. A homomorphism
+    into the (2g+1)-cycle forces every odd cycle of h to have length at
+    least 2g + 1, so the last step fails.
 
-def _last_index(h: Graph, kind: str) -> int:
-    """The last index a scan of h may reach. The odd-cycle and cycle-join
-    scans must fail by then; the gallery scan may pass all twelve."""
-    if kind == "odd-cycle":
-        return (odd_girth(h) + 1) // 2
-    if kind == "gallery-join":
-        return len(SEQUENCE)
-    return (h.order + 1) // 2
-
-
-def _scan(h: Graph, kind: str, r: int, last: int) -> ScanResult:
-    """Search h -> scan_target(kind, i, r) for i = 1..last, stopping at the
-    first failure. Only the gallery scan may pass every step; the others
-    raise AssertionError if they do."""
-    entries = []
-    nodes = 0
-    for i in range(1, last + 1):
-        witness, n = homomorphism_search(h, scan_target(kind, i, r))
-        nodes += n
-        if witness is None:
-            return ScanResult(i, tuple(entries), nodes)
-        entries.append(CertificateEntry(kind, i, witness))
-    if kind != "gallery-join":
-        raise AssertionError(f"{kind} scan ran past its bound {last}")
-    return ScanResult(None, tuple(entries), nodes)
-
-
-def _passing_steps(branch: str, index: int) -> list[tuple[str, int]]:
-    """(kind, index) of every scan step that passes before a failure at
-    index on branch, in scan order."""
-    steps = []
-    if branch == "interval":
-        steps = [("gallery-join", j) for j in range(1, len(SEQUENCE) + 1)]
-    return steps + [(_FAILING_KIND[branch], i) for i in range(1, index)]
+    r >= 3: the twelve gallery joins in table order, none skipped since
+    the sequence is not homomorphism-monotone, then the cycle joins for
+    g = 1..(|h| + 1)/2. A homomorphic image would pull an odd cycle of
+    length at least 2g + 1 out of h, so the last step fails.
+    """
+    if r == 2:
+        return [("odd-cycle", g) for g in range(1, (odd_girth(h) + 1) // 2 + 1)]
+    gallery = [("gallery-join", j) for j in range(1, len(SEQUENCE) + 1)]
+    return gallery + [("cycle-join", g) for g in range(1, (h.order + 1) // 2 + 1)]
 
 
 def _threshold(branch: str, r: int, index: int):
@@ -182,44 +148,6 @@ def _threshold(branch: str, r: int, index: int):
     if branch == "interval":
         return None, cycle_join_threshold(r, index), interval_upper(r)
     raise InvalidParameterError(f"unknown branch {branch!r}")
-
-
-def scan_odd_cycles(h: Graph) -> ScanResult:
-    """Least g >= 1 with no homomorphism h -> C(2g+1). Needs chi(h) = 3.
-
-    Terminates because a homomorphism into a (2g+1)-cycle forces every odd
-    cycle of h to have length at least 2g + 1.
-    """
-    if chromatic_number(h) != 3:
-        raise WrongBranchError("odd-cycle scan requires a 3-chromatic graph")
-    return _scan(h, "odd-cycle", 2, _last_index(h, "odd-cycle"))
-
-
-def scan_gallery_joins(h: Graph, r: int) -> ScanResult:
-    """Least sequence index j with no homomorphism into the join of a
-    clique on r - 3 vertices with the j-th gallery graph, scanning all
-    twelve in order (the sequence is not homomorphism-monotone). Returns
-    index None if every join admits one. Needs chi(h) = r + 1.
-    """
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
-    if chromatic_number(h) != r + 1:
-        raise WrongBranchError(f"gallery scan with r={r} requires chromatic number {r + 1}")
-    return _scan(h, "gallery-join", r, _last_index(h, "gallery-join"))
-
-
-def scan_cycle_joins(h: Graph, r: int) -> ScanResult:
-    """Least g with no homomorphism into the join of a clique on r - 2
-    vertices with the (2g+1)-cycle. Needs chi(h) = r + 1.
-
-    Terminates: a homomorphic image would pull an odd cycle of length at
-    least 2g + 1 out of h, so g cannot pass beyond |h|/2.
-    """
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
-    if chromatic_number(h) != r + 1:
-        raise WrongBranchError(f"cycle-join scan with r={r} requires chromatic number {r + 1}")
-    return _scan(h, "cycle-join", r, _last_index(h, "cycle-join"))
 
 
 @dataclass(frozen=True)
@@ -317,19 +245,20 @@ class DeltaResult:
 
     def validate(self, h: Graph) -> bool:
         """Recheck the threshold arithmetic and the stored certificate
-        against h. The failing index must lie within the scan's bound for h,
-        and the certificate must hold a valid witness for exactly the scan
-        steps that pass before it, in scan order. That the step at index
-        fails is not re-proved here; ``certify`` checks it."""
+        against h. The failing step must be one of h's scan steps, and the
+        certificate must hold a valid witness for exactly the steps before
+        it, in scan order. That the failing step fails is not re-proved
+        here; ``certify`` checks it."""
         try:
             if chromatic_number(h) != self.r + 1:
                 return False
             if (self.value, self.lower, self.upper) != _threshold(self.branch, self.r, self.index):
                 return False
-            if not 1 <= self.index <= _last_index(h, _FAILING_KIND[self.branch]):
+            steps = _steps(h, self.r)
+            failing = (_KIND[self.branch], self.index)
+            if failing not in steps:
                 return False
-            steps = [(e.kind, e.index) for e in self.certificate]
-            if steps != _passing_steps(self.branch, self.index):
+            if [(e.kind, e.index) for e in self.certificate] != steps[: steps.index(failing)]:
                 return False
             return all(e.witness.is_valid(h, e.target(self.r)) for e in self.certificate)
         except InvalidParameterError:
@@ -347,14 +276,14 @@ def classify(h: Graph) -> DeltaResult:
             "the threshold is defined only for chromatic number at least 3"
         )
     r = chi - 1
-    certificate: tuple[CertificateEntry, ...] = ()
+    certificate = []
     nodes = 0
-    for branch in ("odd-cycle",) if r == 2 else ("gallery", "interval"):
-        kind = _FAILING_KIND[branch]
-        scan = _scan(h, kind, r, _last_index(h, kind))
-        certificate += scan.certificate
-        nodes += scan.nodes_expanded
-        if scan.index is not None:
-            break
-    value, lower, upper = _threshold(branch, r, scan.index)
-    return DeltaResult(r, branch, scan.index, value, lower, upper, certificate, nodes)
+    for kind, i in _steps(h, r):
+        witness, n = homomorphism_search(h, scan_target(kind, i, r))
+        nodes += n
+        if witness is None:
+            branch = _BRANCH[kind]
+            value, lower, upper = _threshold(branch, r, i)
+            return DeltaResult(r, branch, i, value, lower, upper, tuple(certificate), nodes)
+        certificate.append(CertificateEntry(kind, i, witness))
+    raise AssertionError(f"the {kind} scan passed every step, past its bound")

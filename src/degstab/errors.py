@@ -29,10 +29,6 @@ class UnsupportedError(DegstabError, ValueError):
     """A request outside the supported envelope (e.g. graph6 order bound)."""
 
 
-class WrongBranchError(DegstabError, ValueError):
-    """Input has the wrong chromatic number for the requested scan."""
-
-
 class UndefinedThresholdError(DegstabError, ValueError):
     """The stability threshold is only defined for chromatic number >= 3."""
 

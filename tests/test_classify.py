@@ -25,18 +25,14 @@ from degstab import (
     join,
     odd_girth,
     petersen,
-    scan_cycle_joins,
-    scan_gallery_joins,
-    scan_odd_cycles,
     threshold_constant,
 )
 from degstab.errors import (
     InvalidParameterError,
     ParseError,
     UndefinedThresholdError,
-    WrongBranchError,
 )
-from degstab.classify import scan_target
+from degstab.classify import _steps, scan_target
 from degstab.gallery import gallery_graph
 from tests import oracles
 
@@ -91,50 +87,62 @@ class TestConstants:
                 assert cycle_join_threshold(r, g) < interval_upper(r)
 
 
+def only_cycle_joins(monkeypatch):
+    """Patch classify to walk the cycle-join steps alone, the steps an
+    interval result reaches after passing all twelve gallery joins."""
+    module = sys.modules["degstab.classify"]
+    steps = module._steps
+    monkeypatch.setattr(
+        module, "_steps", lambda h, r: [s for s in steps(h, r) if s[0] == "cycle-join"]
+    )
+
+
 class TestScans:
     def test_odd_cycle_scan(self):
-        assert scan_odd_cycles(complete(3)).index == 2
-        assert scan_odd_cycles(petersen()).index == 2
+        k3 = classify(complete(3))
+        assert (k3.branch, k3.index) == ("odd-cycle", 2)
+        assert classify(petersen()).index == 2
         # derived: C5 winds onto C5 but full enumeration rules out C7
         assert oracles.hom_exists(cycle(5), cycle(7)) is False
-        assert scan_odd_cycles(cycle(5)).index == 3
-        assert scan_odd_cycles(cycle(9)).index == 5
-
-    def test_odd_cycle_scan_wrong_branch(self):
-        with pytest.raises(WrongBranchError):
-            scan_odd_cycles(cycle(4))
-        with pytest.raises(WrongBranchError):
-            scan_odd_cycles(complete(4))
+        assert classify(cycle(5)).index == 3
+        assert classify(cycle(9)).index == 5
 
     def test_gallery_scan(self):
-        assert scan_gallery_joins(complete(4), 3).index == 2
-        assert scan_gallery_joins(complete(5), 4).index == 2
+        k4 = classify(complete(4))
+        assert (k4.branch, k4.index) == ("gallery", 2)
+        assert classify(complete(5)).index == 2
         # derived: full enumeration of all 8^6 maps rules out W5 -> W7
         assert oracles.hom_exists(gallery_graph("W5"), gallery_graph("W7")) is False
-        assert scan_gallery_joins(gallery_graph("W5"), 3).index == 3
+        assert classify(gallery_graph("W5")).index == 3
 
-    def test_gallery_scan_wrong_branch(self):
-        with pytest.raises(WrongBranchError):
-            scan_gallery_joins(complete(3), 3)
-        with pytest.raises(WrongBranchError):
-            scan_gallery_joins(complete(4), 4)
-        with pytest.raises(InvalidParameterError):
-            scan_gallery_joins(complete(4), 2)
-
-    def test_cycle_join_scan(self):
+    def test_cycle_join_scan(self, monkeypatch):
         # derived by enumeration: K4 maps to the 4-clique but not the 5-wheel
         assert oracles.hom_exists(complete(4), join(complete(1), cycle(3))) is True
         assert oracles.hom_exists(complete(4), join(complete(1), cycle(5))) is False
-        assert scan_cycle_joins(complete(4), 3).index == 2
-        assert scan_cycle_joins(join(complete(1), petersen()), 3).index == 2
-        assert scan_cycle_joins(complete(5), 4).index == 2
+        only_cycle_joins(monkeypatch)
+        assert classify(complete(4)).index == 2
+        assert classify(join(complete(1), petersen())).index == 2
+        assert classify(complete(5)).index == 2
+
+    def test_interval_branch(self, monkeypatch):
+        # No known pattern passes all twelve gallery joins, so the branch
+        # is reached by walking the cycle-join steps alone.
+        only_cycle_joins(monkeypatch)
+        h = complete(4)
+        result = classify(h)
+        assert (result.r, result.branch, result.index) == (3, "interval", 2)
+        assert result.value is None
+        assert result.lower == cycle_join_threshold(3, 2)
+        assert result.upper == interval_upper(3)
+        assert [(e.kind, e.index) for e in result.certificate] == [("cycle-join", 1)]
+        assert result.validate(h)
 
     def test_scan_certificates_validate(self):
         h = gallery_graph("W9")
-        scan = scan_gallery_joins(h, 3)
-        assert scan.index == 4
-        assert [e.index for e in scan.certificate] == [1, 2, 3]
-        for entry in scan.certificate:
+        result = classify(h)
+        assert result.index == 4
+        assert [e.index for e in result.certificate] == [1, 2, 3]
+        for entry in result.certificate:
             assert entry.witness.is_valid(h, entry.target(3))
 
 
@@ -335,14 +343,13 @@ class TestCertificateCompleteness:
             certify(h, fake, 60)
 
     def test_interval_steps_are_all_gallery_joins_then_cycle_joins(self):
-        from degstab.classify import _passing_steps
-
-        steps = _passing_steps("interval", 3)
-        assert steps == [("gallery-join", j) for j in range(1, 13)] + [
+        # K4 has 4 vertices, so its cycle-join steps stop at g = 2.
+        assert _steps(complete(4), 3) == [("gallery-join", j) for j in range(1, 13)] + [
             ("cycle-join", 1),
             ("cycle-join", 2),
         ]
-        assert _passing_steps("odd-cycle", 1) == []
+        # C5 has odd girth 5, so its odd-cycle steps stop at g = 3.
+        assert _steps(cycle(5), 2) == [("odd-cycle", 1), ("odd-cycle", 2), ("odd-cycle", 3)]
 
     def test_index_past_the_scan_bound_rejected(self):
         # C5's odd-cycle scan must fail by g = 3 (its odd girth is 5).
@@ -389,9 +396,9 @@ class TestRepeatedClassify:
 
 
 class TestIntervalBranchSearch:
-    """No natural input reaching the interval branch is known; the scan
-    components are exercised directly and a bounded search documents the
-    absence.
+    """No natural input reaching the interval branch is known; the branch
+    is exercised through a patched step list (``TestScans``) and a bounded
+    search documents the absence.
     """
 
     def test_candidates_all_classify_exactly(self):

@@ -1,11 +1,14 @@
-"""Byte pins for the gallery and every seed graph the witness families can
-start from.
+"""Byte pins for the gallery, every seed graph the witness families can
+start from, and ``classify``'s serialized results.
 
 Each seed value is the first 16 hex digits of the sha256 of the seed's
 graph6 text, written by the independent encoder in ``tests.oracles``; the
 odd cycles and the gallery graphs are short enough to pin as text. A change
 to how a gallery graph or a seed is built that moves a single vertex label
 shows up here, and in ``certify``'s and ``degstab witness``'s output.
+``DeltaResult.dumps`` is pinned the same way: its bytes hold the branch,
+the index, every certificate mapping and the node count, so a change to
+the scan order, a search's witness or its node count shows up here.
 """
 
 import hashlib
@@ -14,8 +17,9 @@ from fractions import Fraction
 import pytest
 
 from degstab import gallery
-from degstab.classify import CONSTANT_TABLE, scan_target
-from degstab.graphs import complete, wheel
+from degstab.classify import CONSTANT_TABLE, classify, scan_target
+from degstab.codecs import decode
+from degstab.graphs import complete, cycle, join, petersen, wheel
 from degstab.witness import odd_cycle_witness, regular_join_witness, witness_for_gallery_index
 
 from . import oracles
@@ -134,6 +138,49 @@ ODD_CYCLE_SEEDS = {
     6: "LhCGGC@?G?_@_@",
 }
 
+# (branch, index, first 16 hex digits of the sha256 of classify(h).dumps()).
+DUMPS = {
+    "K3": ("odd-cycle", 2, "661cab8891392895"),
+    "K4": ("gallery", 2, "a07df734f703b56c"),
+    "K5": ("gallery", 2, "d1e7c4e2a9dd82a3"),
+    "K6": ("gallery", 2, "e1eab030ed2c802f"),
+    "C5": ("odd-cycle", 3, "07fdade42948b47b"),
+    "C9": ("odd-cycle", 5, "afb20a29c3e9a12c"),
+    "Petersen": ("odd-cycle", 2, "baa5f1584c94ae20"),
+    "K1+Petersen": ("gallery", 2, "e07bf940f0ee3cf0"),
+    "W5": ("gallery", 3, "6521a6554e66d444"),
+    "W7": ("gallery", 4, "db6ede21de302d50"),
+    "C7bar": ("gallery", 2, "fd74d9a3053ccbbe"),
+    "W9": ("gallery", 4, "7c5d0821ac68f423"),
+    "H2plus": ("gallery", 3, "804aef293b6186c7"),
+    "W11": ("gallery", 4, "99c95146e6b61130"),
+    "H2": ("gallery", 3, "651c34450fccd22e"),
+    "W13": ("gallery", 4, "cc54eed92c75832b"),
+    "T0": ("gallery", 4, "505037d20ed70748"),
+    "W15": ("gallery", 4, "82f17be4f8cb6672"),
+    "H1plusplus": ("gallery", 3, "d38380125bad4551"),
+    "HFaHJvH": ("gallery", 5, "baef8f7631ebd910"),
+    # M_1(C_7) is triangle-free on 15 vertices, so its searches pass probing's gate.
+    "M1(C7)": ("gallery", 4, "12e00ca5dc384ccf"),
+}
+
+
+def dumps_pattern(name):
+    if name in gallery.SEQUENCE:
+        return gallery.gallery_graph(name)
+    patterns = {f"K{n}": complete(n) for n in range(3, 7)}
+    patterns.update(
+        {
+            "C5": cycle(5),
+            "C9": cycle(9),
+            "Petersen": petersen(),
+            "K1+Petersen": join(complete(1), petersen()),
+            "HFaHJvH": decode("HFaHJvH", "graph6"),
+            "M1(C7)": oracles.mycielskian(cycle(7), 1),
+        }
+    )
+    return patterns[name]
+
 
 def digest(g):
     return hashlib.sha256(oracles.graph6(g).encode()).hexdigest()[:16]
@@ -154,6 +201,14 @@ def test_odd_cycle_seed_bytes(g):
     # witness_base's odd-cycle seed is the scan target itself.
     assert oracles.graph6(scan_target("odd-cycle", g, 2)) == ODD_CYCLE_SEEDS[g]
     assert oracles.graph6(odd_cycle_witness(g, 2 * g + 1)) == ODD_CYCLE_SEEDS[g]
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_classify_dumps_bytes(name):
+    result = classify(dumps_pattern(name))
+    branch, index, sha = DUMPS[name]
+    assert (result.branch, result.index) == (branch, index)
+    assert hashlib.sha256(result.dumps().encode()).hexdigest()[:16] == sha
 
 
 @pytest.mark.parametrize("tag", gallery.TAGS)

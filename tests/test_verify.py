@@ -209,6 +209,14 @@ class TestProperties:
             assert report.passed
             assert report.checked == 23  # 12 chromatic checks + 11 ratios
 
+    def test_chromatic_check_can_fail(self, monkeypatch):
+        monkeypatch.setattr(verify, "chromatic_number", lambda g: 3)
+        report = check_properties(4)
+        assert report.checked == 23
+        assert [v.detail for v in report.violations] == [
+            f"join at index {j} has chromatic number 3" for j in range(1, 13)
+        ]
+
     def test_parameters(self):
         with pytest.raises(InvalidParameterError):
             check_properties(6)
@@ -231,6 +239,15 @@ class TestLocallyBipartiteClaims:
     def test_random_a2(self):
         report = check_locally_bipartite_claims(2, CorpusSpec.random(300, 8, 0.6, 11))
         assert report.passed
+
+    def test_suite_can_fail(self, monkeypatch):
+        # K3 meets the hypothesis at a = 1 (min degree 2 > 12/7), so a
+        # colouring search that finds no 3-colouring must be reported.
+        monkeypatch.setattr(verify, "is_k_colorable", lambda g, k: False)
+        report = check_locally_bipartite_claims(1, [complete(3)])
+        assert [v.detail for v in report.violations] == [
+            "locally bipartite at a=1, dense, but not 3-colorable"
+        ]
 
 
 class TestLowerBoundSearch:

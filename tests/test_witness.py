@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from degstab import (
+    HomWitness,
     Weighting,
     balanced_blow_up,
     blow_up,
@@ -260,6 +261,28 @@ class TestCertify:
         result = classify(h)
         with pytest.raises(InvalidParameterError):
             certify(h, result, 7)  # seed has 8 vertices
+
+    def test_hom_free_check_can_fail(self, monkeypatch):
+        # A search that claims K4 maps into the 5-wheel base must be reported.
+        monkeypatch.setattr(witness, "has_homomorphism", lambda g, t: HomWitness((0,) * g.order))
+        h = complete(4)
+        report = certify(h, classify(h), 60)
+        check = {c.name: c for c in report.checks}["hom-free"]
+        assert not check.passed
+        assert check.detail == "pattern maps into the witness base; family is not pattern-free"
+        assert not report.passed
+
+    def test_degree_ratio_check_can_fail(self, monkeypatch):
+        # Blow-ups of C5 have ratio 2/5, below K4's 5/8 less the slack 5/60.
+        h = complete(4)
+        result = classify(h)
+        _, base = witness_base(result)
+        monkeypatch.setattr(witness, "witness_base", lambda result: (cycle(5), base))
+        report = certify(h, result, 60)
+        check = {c.name: c for c in report.checks}["degree-ratio"]
+        assert not check.passed
+        assert check.detail == "min degree ratio 2/5 vs threshold 5/8 with slack 1/12"
+        assert not report.passed
 
 
 class TestEditBoundCheck:
