@@ -8,7 +8,7 @@ extremal blow-up families that show the values tight, and ships brute-force
 oracles that recheck the machinery on exhaustive small-graph corpora.
 """
 
-from .backend import backend_name, has_compiled_backend
+from .backend import backend_name
 from .classify import (
     DeltaResult,
     classify,

@@ -1,14 +1,11 @@
 """Pure-Python search kernels.
 
 These are the hot inner loops of the package: homomorphism backtracking,
-exact coloring and odd-girth BFS, plus two brute-force oracles, map
-enumeration and partition edit counting. A compiled twin
-(``degstab._fastcore``, plain C) implements the three searches,
-``hom_search``, ``color_search`` and ``odd_girth``, with identical
-semantics and identical tie-breaking; :mod:`degstab.backend` picks one at
-import time. Keep the two in lock-step: the test suite compares their
-outputs bit for bit. The oracles ``brute_hom`` and ``min_edits`` have no
-compiled twin and share no code with any search.
+exact coloring and odd-girth BFS. A compiled twin (``degstab._fastcore``,
+plain C) implements the same three kernels, ``hom_search``,
+``color_search`` and ``odd_girth``, with identical semantics and identical
+tie-breaking; :mod:`degstab.backend` picks one for each call. Keep the two
+in lock-step: the test suite compares their outputs bit for bit.
 
 All functions take adjacency as a sequence of integer bitmasks, one per
 vertex (bit ``u`` of ``adj[v]`` is set iff ``uv`` is an edge). The adjacency
@@ -20,9 +17,7 @@ twin handles orders up to 64.
 
 from __future__ import annotations
 
-from itertools import product
-
-__all__ = ["hom_search", "brute_hom", "color_search", "min_edits", "odd_girth"]
+__all__ = ["hom_search", "color_search", "odd_girth"]
 
 # hom_search probes (see there) only for triangle-free patterns of at least
 # PROBE_ORDER vertices, with at most PROBE_BUDGET values to probe for each
@@ -232,34 +227,6 @@ def _probe(dom, p_nbrs, t_adj, union, free, budget):
     return True
 
 
-def brute_hom(p_adj, t_adj):
-    """Existence check by trying every one of the |T|^|P| maps.
-
-    Deliberately dumb: this is the independent oracle for ``hom_search``
-    and must not share search machinery with it.
-    """
-    n_p = len(p_adj)
-    n_t = len(t_adj)
-    if n_p == 0:
-        return True
-    if n_t == 0:
-        return False
-    edges = []
-    for v in range(n_p):
-        m = p_adj[v] >> (v + 1)
-        while m:
-            bit = m & -m
-            m ^= bit
-            edges.append((v, v + 1 + bit.bit_length() - 1))
-    for phi in product(range(n_t), repeat=n_p):
-        for v, u in edges:
-            if not (t_adj[phi[v]] >> phi[u]) & 1:
-                break
-        else:
-            return True
-    return False
-
-
 def color_search(adj, k):
     """Find a proper coloring with at most k colors, or None.
 
@@ -317,43 +284,6 @@ def _color_rec(adj, degs, colors, sat, k, used, done):
             touched ^= b
             sat[b.bit_length() - 1] &= ~bit
     return None
-
-
-def min_edits(adj, k):
-    """Fewest intra-part edges over all partitions into at most k parts.
-
-    Branch and bound over restricted-growth label strings (vertex 0 always
-    gets label 0, each vertex may open at most one new part), which
-    enumerates partitions rather than labelings. Exact.
-    """
-    n = len(adj)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if n == 0 or k >= n:
-        return 0
-    parts = [0] * k
-    # Putting everything in one part is a valid partition, so the total
-    # edge count is an achievable upper bound.
-    best = [sum(a.bit_count() for a in adj) // 2]
-    _edits_rec(adj, parts, k, 0, -1, 0, best)
-    return best[0]
-
-
-def _edits_rec(adj, parts, k, v, maxlab, cost, best):
-    if v == len(adj):
-        best[0] = cost
-        return
-    lim = maxlab + 1
-    if lim > k - 1:
-        lim = k - 1
-    av = adj[v]
-    bit = 1 << v
-    for lab in range(lim + 1):
-        nc = cost + (av & parts[lab]).bit_count()
-        if nc < best[0]:
-            parts[lab] |= bit
-            _edits_rec(adj, parts, k, v + 1, maxlab if lab <= maxlab else lab, nc, best)
-            parts[lab] &= ~bit
 
 
 def odd_girth(adj):

@@ -7,21 +7,15 @@ compiler, use ``degstab._purecore``. Both implement the same algorithms
 with the same tie-breaking, so results are identical; only the speed
 differs.
 
-Every kernel is dispatched by one table, ``_KERNELS``, which maps a kernel
-name to its number of leading graph arguments (adjacency masks). The module
-defines one function per entry, named after the kernel: a call goes to the
-compiled kernel, with its arguments unchanged, when ``_fastcore`` is loaded
-and every graph argument has order at most 64, and to the pure kernel
-otherwise. The two brute-force oracles are not in the table: ``brute_hom``,
-the independent oracle for ``hom_search``, and ``min_edits``, the edit
-counting oracle of ``verify.brute_min_edits_to_k_partite``, are pure only,
-so neither shares a code path with the compiled searches.
+``_kernels`` applies that rule per call, to every graph argument, and
+``hom_search``, ``color_search`` and ``odd_girth`` pass their arguments
+unchanged to the kernel of the same name in the set it returns.
 
 ``hom_search`` first tries one exact refutation above both kernel sets: a
 homomorphism maps a clique injectively onto a clique, so when a greedy
 clique of the pattern is larger than the target's clique number there is
 none, and the call returns ``(None, 0)`` without reaching either kernel.
-Otherwise it returns the routed kernel's result unchanged. ``None`` from
+Otherwise it returns the chosen kernel's result unchanged. ``None`` from
 ``hom_search`` therefore means refuted by the clique bound (0 nodes) or by
 exhaustive search. The target's exact clique number comes from
 ``clique_number``, a bitset branch and bound, memoized on the adjacency;
@@ -75,44 +69,22 @@ _FAST_MAX_ORDER = 64
 # workloads' hit rates are in BENCH_prepared.json.
 _PREPARED_MEMO_SIZE = 512
 
-_KERNELS = {
-    "hom_search": 2,
-    "color_search": 1,
-    "odd_girth": 1,
-}
-
 
 def backend_name() -> str:
     """Name of the kernel set in use: "compiled" or "pure"."""
     return "compiled" if _fastcore is not None else "pure"
 
 
-def has_compiled_backend() -> bool:
-    return _fastcore is not None
-
-
-def _dispatcher(name: str, graphs: int):
-    pure = getattr(_purecore, name)
-
-    def kernel(*args):
-        if _fastcore is not None and max(map(len, args[:graphs])) <= _FAST_MAX_ORDER:
-            return getattr(_fastcore, name)(*args)
-        return pure(*args)
-
-    kernel.__name__ = kernel.__qualname__ = name
-    return kernel
-
-
-# Defines hom_search, color_search and odd_girth; the routed
-# hom_search is then wrapped by the clique-bound refutation.
-globals().update({name: _dispatcher(name, graphs) for name, graphs in _KERNELS.items()})
-_routed_hom_search = hom_search
+def _kernels(*graphs):
+    if _fastcore is not None and max(map(len, graphs)) <= _FAST_MAX_ORDER:
+        return _fastcore
+    return _purecore
 
 
 def hom_search(p_adj, t_adj):
     """``(None, 0)`` when the pattern has a greedy clique larger than the
-    target's clique number, else the routed ``hom_search`` kernel given the
-    target's orbit minima.
+    target's clique number, else the ``hom_search`` kernel's result given
+    the target's orbit minima.
 
     The odd-girth refutation (odd girth of pattern below that of target)
     is deliberately absent: ``verify.check_hom_odd_girth`` tests exactly
@@ -122,7 +94,15 @@ def hom_search(p_adj, t_adj):
     k = prepared(tuple(p_adj)).greedy
     if k > target.greedy and k > target.omega:
         return None, 0
-    return _routed_hom_search(p_adj, t_adj, target.minima)
+    return _kernels(p_adj, t_adj).hom_search(p_adj, t_adj, target.minima)
+
+
+def color_search(adj, k):
+    return _kernels(adj).color_search(adj, k)
+
+
+def odd_girth(adj):
+    return _kernels(adj).odd_girth(adj)
 
 
 def greedy_clique(adj) -> int:

@@ -190,13 +190,16 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite, _, param = args.suite.partition(":")
+    suite, colon, param = args.suite.partition(":")
     corpus = CorpusSpec.parse(args.corpus)
     if suite in ("properties", "local-bip"):
         try:
             level = int(param)
         except ValueError:
             raise DegstabError(f"suite {args.suite!r} needs an integer parameter") from None
+    option = {"odd-girth": "--g-max", "haggkvist": "--g"}.get(suite)
+    if option and colon:
+        raise DegstabError(f"suite {suite!r} takes no ':' parameter; use {option}")
     if suite == "odd-girth":
         report = check_hom_odd_girth(corpus, args.g_max)
     elif suite == "haggkvist":

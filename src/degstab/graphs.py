@@ -190,7 +190,7 @@ class Weighting:
         if len(weights) != self.base.order:
             raise InvalidParameterError("one weight per base vertex required")
         for v, w in enumerate(weights):
-            if not isinstance(w, int) or w < 0:
+            if not _is_int(w) or w < 0:
                 raise InvalidParameterError(f"weight of vertex {v} must be a nonnegative integer")
         if sum(weights) < 1:
             raise InvalidParameterError("total weight must be at least 1")

@@ -20,8 +20,9 @@ is memoized on the adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from . import _purecore, backend
+from . import backend
 from ._purecore import _bits
 from .errors import InvalidParameterError
 from .graphs import Graph, is_bipartite
@@ -84,17 +85,41 @@ def has_homomorphism(pattern: Graph, target: Graph) -> HomWitness | None:
 
 def brute_force_homomorphism_exists(pattern: Graph, target: Graph) -> bool:
     """Oracle: enumerate all |target|^|pattern| maps. No reductions."""
-    return _purecore.brute_hom(pattern.adj, target.adj)
+    return brute_hom(pattern.adj, target.adj)
+
+
+def brute_hom(p_adj, t_adj):
+    """Existence check by trying every one of the |T|^|P| maps.
+
+    Deliberately dumb: this is the independent oracle for ``hom_search``
+    and must not share search machinery with it.
+    """
+    n_p = len(p_adj)
+    n_t = len(t_adj)
+    if n_p == 0:
+        return True
+    if n_t == 0:
+        return False
+    edges = []
+    for v in range(n_p):
+        m = p_adj[v] >> (v + 1)
+        while m:
+            bit = m & -m
+            m ^= bit
+            edges.append((v, v + 1 + bit.bit_length() - 1))
+    for phi in product(range(n_t), repeat=n_p):
+        for v, u in edges:
+            if not (t_adj[phi[v]] >> phi[u]) & 1:
+                break
+        else:
+            return True
+    return False
 
 
 def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     """A proper coloring with at most k colors, or None if impossible."""
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
-    if g.order == 0:
-        return ()
-    if k == 0:
-        return None
     reduced, _, rep = backend.prepared(g.adj).reduction
     colors = backend.color_search(reduced, k)
     if colors is None:

@@ -32,7 +32,6 @@ from .hom import (
     is_k_colorable,
 )
 from .witness import witness_for_gallery_index
-from . import _purecore
 
 __all__ = [
     "CorpusSpec",
@@ -198,8 +197,7 @@ def brute_min_edits_to_k_partite(g: Graph, k: int) -> int:
     """Minimum intra-part edges over all k-part vertex partitions.
 
     Zero exactly when g is k-colorable. Raises ResourceBudgetError when
-    k^order exceeds the enumeration budget of 10^8. An oracle, so pure
-    only: it has no compiled twin and shares no code with the searches.
+    k^order exceeds the enumeration budget of 10^8.
     """
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
@@ -207,7 +205,44 @@ def brute_min_edits_to_k_partite(g: Graph, k: int) -> int:
         raise ResourceBudgetError(
             f"{k}^{g.order} partitions exceed the budget of {EDIT_ORACLE_BUDGET}"
         )
-    return _purecore.min_edits(g.adj, k)
+    return min_edits(g.adj, k)
+
+
+def min_edits(adj, k):
+    """Fewest intra-part edges over all partitions into at most k parts.
+
+    Branch and bound over restricted-growth label strings (vertex 0 always
+    gets label 0, each vertex may open at most one new part), which
+    enumerates partitions rather than labelings. Exact.
+    """
+    n = len(adj)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if n == 0 or k >= n:
+        return 0
+    parts = [0] * k
+    # Putting everything in one part is a valid partition, so the total
+    # edge count is an achievable upper bound.
+    best = [sum(a.bit_count() for a in adj) // 2]
+    _edits_rec(adj, parts, k, 0, -1, 0, best)
+    return best[0]
+
+
+def _edits_rec(adj, parts, k, v, maxlab, cost, best):
+    if v == len(adj):
+        best[0] = cost
+        return
+    lim = maxlab + 1
+    if lim > k - 1:
+        lim = k - 1
+    av = adj[v]
+    bit = 1 << v
+    for lab in range(lim + 1):
+        nc = cost + (av & parts[lab]).bit_count()
+        if nc < best[0]:
+            parts[lab] |= bit
+            _edits_rec(adj, parts, k, v + 1, maxlab if lab <= maxlab else lab, nc, best)
+            parts[lab] &= ~bit
 
 
 def check_hom_odd_girth(spec, g_max: int) -> VerificationReport:

@@ -153,11 +153,9 @@ def test_criterion_09_solver_matches_enumeration(monkeypatch):
     # A search that reaches no kernel was refuted by the clique bound; the
     # equality with enumeration below then checks that refutation.
     searched = []
-    kernel = backend._routed_hom_search
+    pick = backend._kernels
     monkeypatch.setattr(
-        backend,
-        "_routed_hom_search",
-        lambda p, t, minima: searched.append(p) or kernel(p, t, minima),
+        backend, "_kernels", lambda *graphs: searched.append(graphs) or pick(*graphs)
     )
     with criterion(9, "solver equals map enumeration on <=5 x <=4 vertices", 600.0):
         patterns = list(CorpusSpec.exhaustive(5).graphs())

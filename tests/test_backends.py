@@ -74,12 +74,10 @@ def test_edge_cases_match(fastcore):
 
 
 def test_kernel_sets_in_lock_step(fastcore):
-    # A kernel that leaves one set must leave all three: the pure module
-    # holds the compiled kernels and the two oracles.
+    # A kernel that leaves one set must leave both, and backend's entry
+    # points with them.
     compiled = {name for name in dir(fastcore) if not name.startswith("_")}
-    assert compiled == set(backend._KERNELS)
-    assert compiled <= set(_purecore.__all__)
-    assert set(_purecore.__all__) - set(backend._KERNELS) == {"brute_hom", "min_edits"}
+    assert compiled == set(_purecore.__all__) == set(ENTRY_POINTS)
 
 
 def test_tuples_and_lists_give_the_same_result(fastcore):

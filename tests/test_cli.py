@@ -179,6 +179,16 @@ class TestVerify:
         assert main(["verify", "nonsense"]) == 2
         assert main(["verify", "odd-girth", "--corpus", "bogus:1"]) == 2
 
+    def test_haggkvist_parameter_is_a_usage_error(self, capsys):
+        assert main(["verify", "haggkvist:3", "--corpus", "exhaustive:4"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--g" in out.err
+
+    def test_odd_girth_parameter_is_a_usage_error(self, capsys):
+        assert main(["verify", "odd-girth:9", "--corpus", "exhaustive:4"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--g-max" in out.err
+
 
 class TestOracle:
     def test_edits(self, tmp_path, capsys):

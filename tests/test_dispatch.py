@@ -10,7 +10,7 @@ import pytest
 
 import degstab
 from degstab import _purecore, backend, verify
-from degstab.backend import backend_name, has_compiled_backend
+from degstab.backend import backend_name
 from degstab.graphs import Graph, Weighting, blow_up, complete, cycle, cycle_complement, join, wheel
 from degstab.hom import (
     brute_force_homomorphism_exists,
@@ -31,8 +31,7 @@ KERNELS = {
 
 
 def test_backend_is_reported():
-    assert backend_name() in {"compiled", "pure"}
-    assert has_compiled_backend() in {True, False}
+    assert backend_name() == ("pure" if backend._fastcore is None else "compiled")
 
 
 def _recorder(calls, label, name):
@@ -117,7 +116,6 @@ def test_kernel_names(name):
 def test_environment_forces_pure(routed):
     calls = routed("pure")
     assert backend.backend_name() == "pure"
-    assert not backend.has_compiled_backend()
     for name, (graphs, _) in KERNELS.items():
         assert _call(name, (3,) * graphs) == "pure"
     assert {label for label, _, _ in calls} == {"pure"}
@@ -125,10 +123,8 @@ def test_environment_forces_pure(routed):
 
 
 def test_oracles_run_pure_with_the_extension_loaded(routed):
+    # Neither oracle calls a kernel of either set.
     calls = routed()
-    stub = sys.modules["degstab._fastcore"]
-    for name in ("brute_hom", "min_edits"):
-        setattr(stub, name, _recorder(calls, "stub", name))
     assert verify.brute_min_edits_to_k_partite(complete(4), 2) == 2
     assert brute_force_homomorphism_exists(cycle(5), complete(3))
     assert calls == []

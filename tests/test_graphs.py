@@ -346,6 +346,8 @@ class TestBlowUp:
             Weighting(cycle(5), (1, 1, 1, 1))
         with pytest.raises(InvalidParameterError):
             Weighting(cycle(5), (1, 1, 1, 1, -1))
+        with pytest.raises(InvalidParameterError):
+            Weighting(complete(3), (True, 1, 1))
 
     def test_balanced_uneven_parts(self):
         g = balanced_blow_up(cycle(5), 11)

@@ -199,6 +199,29 @@ class TestColoring:
             is_k_colorable(complete(3), -1)
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def kernel_set(request, monkeypatch):
+    """Routes backend's kernels to one kernel set for the test."""
+    fast = request.getfixturevalue("fastcore") if request.param == "compiled" else None
+    monkeypatch.setattr(backend, "_fastcore", fast)
+    return request.param
+
+
+class TestFindColoringEdgeCases:
+    # No colours and no vertices, on each kernel set.
+    def test_order_zero_has_the_empty_colouring(self, kernel_set):
+        assert find_coloring(empty_graph(0), 0) == ()
+        assert find_coloring(empty_graph(0), 3) == ()
+
+    def test_zero_colours_colour_no_vertex(self, kernel_set):
+        assert find_coloring(complete(3), 0) is None
+        assert find_coloring(empty_graph(2), 0) is None
+
+    def test_negative_k_rejected(self, kernel_set):
+        with pytest.raises(InvalidParameterError):
+            find_coloring(complete(3), -1)
+
+
 class TestCliques:
     def test_edges_of_c5(self):
         assert cliques_of_size(cycle(5), 2) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
