@@ -305,10 +305,6 @@ static PyObject *hom_search(PyObject *self, PyObject *const *args, Py_ssize_t na
     int n_t = read_graph(args[1], s.t_adj);
     if (n_t < 0)
         return NULL;
-    if (n_p == 0)
-        return Py_BuildValue("(()i)", 0);
-    if (n_t == 0)
-        return Py_BuildValue("(Oi)", Py_None, 0);
     s.n_p = n_p;
     s.nodes = 0;
     s.probe = n_p >= PROBE_ORDER;

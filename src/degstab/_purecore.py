@@ -77,10 +77,6 @@ def hom_search(p_adj, t_adj, minima=None):
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
-    if n_p == 0:
-        return (), 0
-    if n_t == 0:
-        return None, 0
     # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
     # small length for reuse, and these short-lived ones would fill that.
     p_nbrs = []

@@ -171,8 +171,6 @@ def orbits(adj, fixed: int = 0) -> list[int]:
     for x in _bits(fixed):
         cells = _individualise(cells, x)
     cells = _refine(adj, cells)[0]
-    if len(cells) == n:
-        return [1 << v for v in range(n)]
     least = list(range(n))  # union-find; each root is its set's least vertex
 
     def find(v):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gallery import CONSTANT_TABLE, SEQUENCE, sequence_graph
 from .graphs import Graph, complete, cycle, join, odd_girth
-from .hom import HomWitness, chromatic_number, homomorphism_search
+from .hom import HomWitness, chromatic_number, homomorphism_search, is_k_colorable
 
 __all__ = [
     "CONSTANT_TABLE",
@@ -140,8 +140,6 @@ def _steps(h: Graph, r: int) -> list[tuple[str, int]]:
 def _threshold(branch: str, r: int, index: int):
     """(value, lower, upper) for a failure at index on branch."""
     if branch == "odd-cycle":
-        if r != 2:
-            raise InvalidParameterError("the odd-cycle branch needs r = 2")
         return Fraction(2, 2 * index + 1), None, None
     if branch == "gallery":
         return degree_threshold(r, index - 1), None, None
@@ -244,13 +242,16 @@ class DeltaResult:
         return cls.from_json(data)
 
     def validate(self, h: Graph) -> bool:
-        """Recheck the threshold arithmetic and the stored certificate
-        against h. The failing step must be one of h's scan steps, and the
-        certificate must hold a valid witness for exactly the steps before
-        it, in scan order. That the failing step fails is not re-proved
-        here; ``certify`` checks it."""
+        """Recheck r, the threshold arithmetic and the stored certificate
+        against h. The failing step must be one of h's scan steps after the
+        first, and the certificate must hold a valid witness for exactly
+        the steps before it, in scan order. That the failing step fails is
+        not re-proved here; ``certify`` checks it."""
         try:
-            if chromatic_number(h) != self.r + 1:
+            # The first step's target is K_{r+1}, so a valid first witness
+            # proves chi(h) <= r + 1, leaving chi(h) > r to check; and as
+            # every (r+1)-chromatic h maps into it, no true result fails there.
+            if not self.certificate or is_k_colorable(h, self.r):
                 return False
             if (self.value, self.lower, self.upper) != _threshold(self.branch, self.r, self.index):
                 return False

@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite",
         help="odd-girth | haggkvist | properties:R | local-bip:A",
     )
-    p.add_argument("--corpus", default="exhaustive:5")
+    p.add_argument("--corpus", default=None, help="default exhaustive:5; properties takes none")
     p.add_argument("--g-max", type=int, default=3, help="odd-girth suite bound")
     p.add_argument("--g", type=int, default=2, help="haggkvist suite parameter")
     p.add_argument("--json", action="store_true")
@@ -191,7 +191,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite, colon, param = args.suite.partition(":")
-    corpus = CorpusSpec.parse(args.corpus)
+    if suite == "properties" and args.corpus is not None:
+        raise DegstabError(f"suite {args.suite!r} reads no corpus; drop --corpus")
+    corpus = CorpusSpec.parse("exhaustive:5" if args.corpus is None else args.corpus)
     if suite in ("properties", "local-bip"):
         try:
             level = int(param)
@@ -222,11 +224,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.oracle_command == "edits":
-        g = _load_graph(args.file, args.format)
-        print(brute_min_edits_to_k_partite(g, args.k))
-        return 0
-    raise DegstabError(f"unknown oracle {args.oracle_command!r}")
+    # argparse admits "edits" alone.
+    g = _load_graph(args.file, args.format)
+    print(brute_min_edits_to_k_partite(g, args.k))
+    return 0
 
 
 _COMMANDS = {

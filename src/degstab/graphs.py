@@ -262,19 +262,13 @@ def blow_up(w: Weighting) -> Graph:
     laid out consecutively in base-vertex order.
     """
     base = w.base
-    offsets = []
-    total = 0
-    for v in range(base.order):
-        offsets.append(total)
-        total += w.weights[v]
     class_mask = []
-    for v in range(base.order):
-        size = w.weights[v]
-        class_mask.append(((1 << size) - 1) << offsets[v])
+    total = 0
+    for size in w.weights:
+        class_mask.append(((1 << size) - 1) << total)
+        total += size
     masks = []
     for v in range(base.order):
-        if w.weights[v] == 0:
-            continue
         m = 0
         for u in _bits(base.adj[v]):
             m |= class_mask[u]

@@ -96,10 +96,6 @@ def brute_hom(p_adj, t_adj):
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
-    if n_p == 0:
-        return True
-    if n_t == 0:
-        return False
     edges = []
     for v in range(n_p):
         m = p_adj[v] >> (v + 1)
@@ -142,11 +138,7 @@ def greedy_clique(g: Graph) -> tuple[int, ...]:
 
 def chromatic_number(g: Graph) -> int:
     """Least k admitting a proper k-coloring (0 for the empty graph)."""
-    if g.order == 0:
-        return 0
-    if g.edge_count == 0:
-        return 1
-    k = max(2, backend.prepared(g.adj).greedy)
+    k = backend.prepared(g.adj).greedy  # a lower bound: 0 for K0, 1 if edgeless
     while not is_k_colorable(g, k):
         k += 1
     return k

@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import codecs
 from .classify import degree_threshold, scan_target
@@ -134,6 +134,10 @@ class CorpusSpec:
         else:
             raise InvalidParameterError(f"unknown corpus mode {self.mode!r}")
 
+    def __iter__(self) -> Iterator[Graph]:
+        # So checks take a CorpusSpec and a plain list of graphs alike.
+        return self.graphs()
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -171,19 +175,11 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _graph_stream(corpus) -> Iterable[Graph]:
-    # Checks accept a CorpusSpec or any plain iterable of graphs, so ad-hoc
-    # corpora like a single named graph work too.
-    if isinstance(corpus, CorpusSpec):
-        return corpus.graphs()
-    return corpus
-
-
 def _sweep(suite: str, corpus, probe) -> VerificationReport:
     start = time.perf_counter()
     violations = []
     checked = 0
-    for index, g in enumerate(_graph_stream(corpus)):
+    for index, g in enumerate(corpus):
         checked += 1
         detail = probe(g)
         if detail is not None:
@@ -290,21 +286,19 @@ def check_haggkvist(spec, g: int) -> VerificationReport:
     return _sweep(f"haggkvist(g={g})", spec, probe)
 
 
-def check_properties(r: int, g_max: int = 11) -> VerificationReport:
+def check_properties(r: int) -> VerificationReport:
     """Chromatic and degree-ratio facts about the scan targets.
 
-    For indices up to g_max + 1 the clique-join of each gallery graph must
-    be (r+1)-chromatic, and for each index up to g_max the matching witness
+    The clique-join of each of the twelve gallery graphs must be
+    (r+1)-chromatic, and for each index up to 11 the matching witness
     family must hit its threshold ratio exactly.
     """
     if r not in (3, 4, 5):
         raise InvalidParameterError("r must be 3, 4 or 5")
-    if not 1 <= g_max <= 11:
-        raise InvalidParameterError("g_max must be in 1..11")
     start = time.perf_counter()
     violations = []
     checked = 0
-    for j in range(1, min(g_max + 1, len(SEQUENCE)) + 1):
+    for j in range(1, len(SEQUENCE) + 1):
         target = scan_target("gallery-join", j, r)
         checked += 1
         chi = chromatic_number(target)
@@ -312,7 +306,7 @@ def check_properties(r: int, g_max: int = 11) -> VerificationReport:
             violations.append(
                 Violation(j, target, f"join at index {j} has chromatic number {chi}")
             )
-    for g in range(1, g_max + 1):
+    for g in range(1, len(SEQUENCE)):
         seed = witness_for_gallery_index(r, g + 1)
         checked += 1
         profile = degree_profile(seed)
@@ -326,7 +320,7 @@ def check_properties(r: int, g_max: int = 11) -> VerificationReport:
                 )
             )
     return VerificationReport(
-        f"properties(r={r},g_max={g_max})",
+        f"properties(r={r},g_max={len(SEQUENCE) - 1})",
         checked,
         tuple(violations),
         time.perf_counter() - start,
@@ -378,7 +372,7 @@ def search_hom_free_lower_bound(
         raise InvalidParameterError("k must be nonnegative")
     c = Fraction(c)
     best: LowerBoundHit | None = None
-    for index, g in enumerate(_graph_stream(spec)):
+    for index, g in enumerate(spec):
         if g.order == 0:
             continue
         min_deg = min(m.bit_count() for m in g.adj)

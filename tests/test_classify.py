@@ -360,6 +360,42 @@ class TestCertificateCompleteness:
             assert not claim.validate(h)
 
 
+    def test_odd_cycle_failure_at_r_3_rejected(self):
+        # K4's certificate with an odd-cycle failure claimed at r = 3: no
+        # odd-cycle step is among K4's scan steps at r = 3.
+        h = complete(4)
+        forged = replace(classify(h), branch="odd-cycle", index=1, value=Fraction(2, 3))
+        assert not forged.validate(h)
+
+    def test_failure_at_the_first_step_rejected(self):
+        # The first scan target is K_{r+1}, into which every (r+1)-chromatic
+        # pattern maps, so no true result fails there. C5 fails at g = 3.
+        forged = DeltaResult(2, "odd-cycle", 1, Fraction(2, 3), None, None, (), 0)
+        assert not forged.validate(cycle(5))
+
+    def test_wrong_threshold_rejected(self):
+        h = complete(4)
+        result = classify(h)
+        assert not replace(result, value=Fraction(2, 3)).validate(h)
+        assert not replace(result, value=None, lower=result.value, upper=result.value).validate(h)
+
+    def test_unknown_branch_and_gallery_at_r_2_rejected(self):
+        h = complete(4)
+        assert not replace(classify(h), branch="clique").validate(h)
+        # The gallery branch needs r >= 3, so its threshold at r = 2 raises.
+        k3 = complete(3)
+        assert not replace(classify(k3), branch="gallery").validate(k3)
+
+    def test_short_and_out_of_range_witnesses_rejected(self):
+        # W9's first witness maps into K4 at r = 3.
+        h = gallery_graph("W9")
+        data = json.loads(classify(h).dumps())
+        first = data["certificate"][0]["mapping"]
+        for bad in (first[:-1], first + [0], [4] + first[1:], [-1] + first[1:]):
+            data["certificate"][0]["mapping"] = bad
+            assert not DeltaResult.loads(json.dumps(data)).validate(h), bad
+
+
 class TestChromaticNumberOnce:
     def test_classify_computes_chi_once(self, monkeypatch):
         module = sys.modules["degstab.classify"]

@@ -14,6 +14,7 @@ from degstab import (
     encode,
     petersen,
 )
+from degstab import verify
 from degstab.cli import main
 from degstab.gallery import gallery_graph
 from degstab.witness import witness_base
@@ -171,6 +172,27 @@ class TestVerify:
 
     def test_properties_suite(self, capsys):
         assert main(["verify", "properties:3"]) == 0
+
+    def test_properties_reads_no_corpus(self, capsys):
+        assert main(["verify", "properties:3", "--corpus", "exhaustive:2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "'properties:3'" in out.err and "--corpus" in out.err
+
+    def test_corpus_defaults_to_exhaustive_5(self, capsys):
+        assert main(["verify", "haggkvist", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checked"] == 1100
+
+    def test_violations_are_printed_and_exit_1(self, monkeypatch, capsys):
+        # An odd girth of 99 for every graph makes K2 and K3, whose minimum
+        # degrees exceed 2n/5, counterexamples.
+        monkeypatch.setattr(verify, "odd_girth", lambda g: 99)
+        assert main(["verify", "haggkvist", "--corpus", "exhaustive:3"]) == 1
+        assert capsys.readouterr().out == (
+            "suite haggkvist(g=2): checked 12\n"
+            "VIOLATION [3] A_: min degree 1 of 2 but odd girth 99\n"
+            "VIOLATION [11] Bw: min degree 2 of 3 but odd girth 99\n"
+            "FAIL (2 violations)\n"
+        )
 
     def test_local_bip_suite(self, capsys):
         assert main(["verify", "local-bip:1", "--corpus", "exhaustive:4"]) == 0

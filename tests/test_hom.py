@@ -77,6 +77,11 @@ class TestHomomorphism:
         assert has_homomorphism(empty_graph(0), complete(3)) == HomWitness(())
         assert has_homomorphism(empty_graph(2), empty_graph(0)) is None
         assert has_homomorphism(complete(2), empty_graph(3)) is None
+        # The oracle too: K0 maps by the one empty map, and a vertex has
+        # nowhere to go in K0.
+        assert brute_force_homomorphism_exists(empty_graph(0), empty_graph(0)) is True
+        assert brute_force_homomorphism_exists(empty_graph(0), complete(3)) is True
+        assert brute_force_homomorphism_exists(empty_graph(2), empty_graph(0)) is False
 
     def test_agrees_with_oracle_on_random_pairs(self):
         rng = random.Random(30)
@@ -220,6 +225,12 @@ class TestFindColoringEdgeCases:
     def test_negative_k_rejected(self, kernel_set):
         with pytest.raises(InvalidParameterError):
             find_coloring(complete(3), -1)
+
+    def test_chromatic_number_of_tiny_graphs(self, kernel_set):
+        assert chromatic_number(empty_graph(0)) == 0
+        assert chromatic_number(complete(1)) == 1
+        assert chromatic_number(empty_graph(3)) == 1
+        assert chromatic_number(complete(2)) == 2
 
 
 class TestCliques:

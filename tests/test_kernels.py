@@ -316,6 +316,24 @@ def test_minima_are_not_called_when_the_first_values_succeed(kernels):
         kernels.hom_search(complete(3).adj, complete(2).adj, fail)
 
 
+def test_hom_search_edge_cases(kernels):
+    # The empty pattern maps, by the empty map, without a node; a pattern
+    # vertex with no target vertex to go to cannot. No search here asks
+    # for the target's orbit minima.
+    def fail(fixed):
+        raise AssertionError(f"minima({fixed}) called")
+
+    for p, t, want in [
+        ([], [], ((), 0)),
+        ([0], [], (None, 0)),
+        ([2, 1], [], (None, 0)),
+        ([], [0], ((), 0)),
+        ([0, 0], [0], ((0, 0), 2)),
+    ]:
+        assert kernels.hom_search(p, t) == want, (p, t)
+        assert kernels.hom_search(p, t, fail) == want, (p, t)
+
+
 def test_odd_girth_matches_reference_on_random_graphs(kernels):
     rng = random.Random(71)
     for _ in range(600):

@@ -52,6 +52,15 @@ def test_orbits_match_enumeration_on_random_graphs():
         _agree(random_graph(rng, rng.randint(0, 7), rng.random()))
 
 
+def test_empty_and_rigid_graphs():
+    assert orbits((), 0) == []
+    # A path 0-1-2-3-4 with vertex 5 on 2 and 3 has no automorphism but
+    # the identity, and colour refinement alone splits it into singletons.
+    rigid = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+    assert orbits(rigid.adj) == [1 << v for v in range(6)]
+    _agree(rigid)
+
+
 def test_vertex_transitive_targets_have_one_orbit():
     assert orbits(cycle_complement(7).adj) == [(1 << 7) - 1]
     assert orbits(petersen().adj) == [(1 << 10) - 1]

@@ -217,11 +217,19 @@ class TestProperties:
             f"join at index {j} has chromatic number 3" for j in range(1, 13)
         ]
 
+    def test_ratio_check_can_fail(self, monkeypatch):
+        # Blow-ups of C5 have ratio 2/5, below every threshold at r = 3.
+        monkeypatch.setattr(verify, "witness_for_gallery_index", lambda r, j: cycle(5))
+        report = check_properties(3)
+        assert report.checked == 23
+        assert [v.detail for v in report.violations] == [
+            f"witness ratio 2/5 at index {g} misses {verify.degree_threshold(3, g)}"
+            for g in range(1, 12)
+        ]
+
     def test_parameters(self):
         with pytest.raises(InvalidParameterError):
             check_properties(6)
-        with pytest.raises(InvalidParameterError):
-            check_properties(3, 12)
 
 
 class TestLocallyBipartiteClaims:

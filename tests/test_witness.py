@@ -30,6 +30,7 @@ from degstab.errors import InvalidParameterError
 from degstab.gallery import gallery_graph
 from degstab.verify import EDIT_ORACLE_BUDGET, brute_min_edits_to_k_partite
 from degstab.witness import witness_base
+from tests.test_classify import only_cycle_joins
 
 
 class TestOddCycleWitness:
@@ -337,3 +338,20 @@ class TestWitnessBase:
             for g in range(1, 7):
                 seed = regular_join_witness(r, g)
                 assert has_homomorphism(seed, scan_target("cycle-join", g, r)) is not None
+
+    def test_interval_branch(self, monkeypatch):
+        # No known pattern reaches the interval branch; walking the
+        # cycle-join steps alone sends K4 there at g = 2.
+        only_cycle_joins(monkeypatch)
+        h = complete(4)
+        result = classify(h)
+        assert result.describe() == "5/8..8/15 (0.625..0.533333) [interval branch, g=2]"
+        seed, base = witness_base(result)
+        assert seed == regular_join_witness(3, 2)
+        assert base == scan_target("cycle-join", 2, 3)
+        report = certify(h, result, 60)
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("hom-free", True, "no homomorphism into the witness base"),
+            ("degree-ratio", True, "min degree ratio 3/5 vs threshold 5/8 with slack 2/15"),
+            ("edit-bound", True, "seed is not 3-colorable; counting bound 49 edge deletions"),
+        ]
