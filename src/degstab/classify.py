@@ -5,15 +5,16 @@ least minimum-degree ratio above which every graph avoiding ``h`` is within
 a vanishing edge fraction of r-partite. The classification is driven
 entirely by homomorphism scans:
 
-* r = 2: find the least g with no homomorphism into the odd cycle of
-  length 2g + 1; the threshold is exactly 2/(2g + 1).
-* r >= 3: scan the twelve-member gallery sequence joined with a clique on
-  r - 3 vertices, in table order and without assuming monotonicity. If
-  index j is the least failure the threshold is exactly
-  1 - 1/(r - 1 + C(j - 1)) with C drawn from the constant table. If all
-  twelve pass, scan joins of a clique on r - 2 vertices with growing odd
-  cycles; the least failure g gives the rigorous interval
-  1 - 1/(r - 1 + 2/(2g - 1)) <= value <= 1 - 1/(r - 1 + 1/7).
+* r >= 3: first scan the twelve-member gallery sequence joined with a
+  clique on r - 3 vertices, in table order and without assuming
+  monotonicity. If index j is the least failure the threshold is exactly
+  1 - 1/(r - 1 + C(j - 1)) with C drawn from the constant table.
+* Every r: then (for r >= 3, if all twelve pass) scan joins of a clique
+  on r - 2 vertices with growing odd cycles; the least failure g gives
+  1 - 1/(r - 1 + 2/(2g - 1)). At r = 2 the clique is empty, the scan is
+  the odd-cycle scan and this is the exact threshold 2/(2g + 1). For
+  r >= 3 it is only the lower end of the rigorous interval, whose upper
+  end is 1 - 1/(r - 1 + 1/7).
 
 All thresholds are exact rationals end to end; floats appear only in
 display code.
@@ -26,13 +27,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .codecs import parse_json
 from .errors import (
     InvalidParameterError,
     ParseError,
     UndefinedThresholdError,
 )
 from .gallery import CONSTANT_TABLE, SEQUENCE, sequence_graph
-from .graphs import Graph, complete, cycle, join, odd_girth
+from .graphs import Graph, _is_int, complete, cycle, join
 from .hom import HomWitness, chromatic_number, homomorphism_search, is_k_colorable
 
 __all__ = [
@@ -48,31 +50,38 @@ __all__ = [
 ]
 
 
+def _require(name: str, value, least: int) -> None:
+    """Reject a bool, a non-int or a value below least, so that the
+    thresholds stay exact ``Fraction`` arithmetic."""
+    if not _is_int(value):
+        raise InvalidParameterError(f"{name} must be an integer")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be at least {least}")
+
+
 def threshold_constant(index: int) -> Fraction:
     """Table constant for scan index 1..11, derived from the gallery's
     certified weightings (see ``degstab.gallery``)."""
-    if index not in CONSTANT_TABLE:
+    if not _is_int(index) or index not in CONSTANT_TABLE:
         raise InvalidParameterError("constant table index must be in 1..11")
     return CONSTANT_TABLE[index]
 
 
 def degree_threshold(r: int, index: int) -> Fraction:
     """The exact threshold 1 - 1/(r - 1 + C(index)) for r >= 3."""
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
+    _require("r", r, 3)
     return 1 - 1 / (r - 1 + threshold_constant(index))
 
 
 def cycle_join_threshold(r: int, g: int) -> Fraction:
     """Degree ratio of the regular clique-plus-odd-cycle witness family.
 
-    Equals 1 - 1/(r - 1 + 2/(2g - 1)); this is also the interval branch's
-    lower bound at failure index g.
+    Equals 1 - 1/(r - 1 + 2/(2g - 1)): at r = 2, 2/(2g + 1), the exact
+    threshold of a failure at the (2g+1)-cycle; at r >= 3, the interval
+    branch's lower bound at failure index g.
     """
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
-    if g < 1:
-        raise InvalidParameterError("g must be at least 1")
+    _require("r", r, 2)
+    _require("g", g, 1)
     return 1 - 1 / (r - 1 + Fraction(2, 2 * g - 1))
 
 
@@ -88,15 +97,15 @@ _TARGET_MEMO_SIZE = 256
 
 @functools.lru_cache(maxsize=_TARGET_MEMO_SIZE, typed=True)
 def scan_target(kind: str, index: int, r: int) -> Graph:
-    """The index-th target of a scan: the (2g+1)-cycle for "odd-cycle",
-    a clique on r - 3 vertices joined to gallery member j for
-    "gallery-join", and a clique on r - 2 vertices joined to the
-    (2g+1)-cycle for "cycle-join". Built once per argument triple."""
-    if kind == "odd-cycle":
-        return cycle(2 * index + 1)
+    """The index-th target of a scan, built once per argument triple.
+
+    "gallery-join" joins a clique on r - 3 vertices to gallery member j.
+    "cycle-join" joins a clique on r - 2 vertices to the (2g+1)-cycle, and
+    "odd-cycle" names the same target at r = 2, where the clique is empty
+    and the target is the labelled cycle."""
     if kind == "gallery-join":
         return join(complete(r - 3), sequence_graph(index))
-    if kind == "cycle-join":
+    if kind in ("odd-cycle", "cycle-join"):
         return join(complete(r - 2), cycle(2 * index + 1))
     raise InvalidParameterError(f"unknown scan kind {kind!r}")
 
@@ -122,25 +131,23 @@ _KIND = {branch: kind for kind, branch in _BRANCH.items()}
 def _steps(h: Graph, r: int) -> list[tuple[str, int]]:
     """Every (kind, index) scan step of h at r, in scan order.
 
-    r = 2: the odd cycles for g = 1..(odd girth + 1)/2. A homomorphism
-    into the (2g+1)-cycle forces every odd cycle of h to have length at
-    least 2g + 1, so the last step fails.
-
-    r >= 3: the twelve gallery joins in table order, none skipped since
-    the sequence is not homomorphism-monotone, then the cycle joins for
-    g = 1..(|h| + 1)/2. A homomorphic image would pull an odd cycle of
-    length at least 2g + 1 out of h, so the last step fails.
+    For r >= 3, first the twelve gallery joins in table order, none
+    skipped since the sequence is not homomorphism-monotone. Then, for
+    every r, the cycle joins for g = 1..(|h| + 1)/2, named "odd-cycle" at
+    r = 2. As chi(h) = r + 1, a homomorphism into K_{r-2} joined to the
+    (2g+1)-cycle sends a non-bipartite part of h to the cycle, so it winds
+    an odd cycle of h, at most |h| long, onto the cycle, which takes at
+    least 2g + 1 vertices. The last step, where 2g + 1 > |h|, fails.
     """
-    if r == 2:
-        return [("odd-cycle", g) for g in range(1, (odd_girth(h) + 1) // 2 + 1)]
-    gallery = [("gallery-join", j) for j in range(1, len(SEQUENCE) + 1)]
-    return gallery + [("cycle-join", g) for g in range(1, (h.order + 1) // 2 + 1)]
+    kind = "odd-cycle" if r == 2 else "cycle-join"
+    gallery = [] if r == 2 else [("gallery-join", j) for j in range(1, len(SEQUENCE) + 1)]
+    return gallery + [(kind, g) for g in range(1, (h.order + 1) // 2 + 1)]
 
 
 def _threshold(branch: str, r: int, index: int):
     """(value, lower, upper) for a failure at index on branch."""
     if branch == "odd-cycle":
-        return Fraction(2, 2 * index + 1), None, None
+        return cycle_join_threshold(r, index), None, None
     if branch == "gallery":
         return degree_threshold(r, index - 1), None, None
     if branch == "interval":
@@ -235,11 +242,7 @@ class DeltaResult:
 
     @classmethod
     def loads(cls, text: str) -> "DeltaResult":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
-        return cls.from_json(data)
+        return cls.from_json(parse_json(text))
 
     def validate(self, h: Graph) -> bool:
         """Recheck r, the threshold arithmetic and the stored certificate

@@ -203,11 +203,19 @@ def _encode_json(g: Graph) -> str:
     )
 
 
-def _decode_json(text: str) -> Graph:
+def parse_json(text: str):
+    """The JSON value of text, with malformed or too deeply nested input
+    reported as a ParseError rather than a decoder exception."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 0) from None
+
+
+def _decode_json(text: str) -> Graph:
+    data = parse_json(text)
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object", 0)
     if set(data) != {"order", "edges"}:

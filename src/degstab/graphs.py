@@ -35,10 +35,11 @@ class Graph:
     is symmetric iff it has as many entries above the diagonal as below.
 
     Faults are reported one run at a time, in row order: a non-integer
-    row as soon as it is read, then an out-of-range neighbour, a self-loop
-    or a neighbour below the run whose row does not cover the run. A
-    neighbour above a row without its mirror is reported only when no row
-    has any of these faults, as the first such pair row by row.
+    row as soon as it is read (a bool row once its run is read), then an
+    out-of-range neighbour, a self-loop or a neighbour below the run whose
+    row does not cover the run. A neighbour above a row without its mirror
+    is reported only when no row has any of these faults, as the first
+    such pair row by row.
     """
 
     order: int
@@ -69,6 +70,10 @@ class Graph:
                 end = v + 1
                 while end < order and not adj[end] ^ mask:
                     end += 1
+                # A bool passes the shift and the xor, and equals 0 or 1, so
+                # it can only start or join a run of one of those masks.
+                if mask < 2 and bool in map(type, adj[v:end]):
+                    raise TypeError
                 low = 1 << v
                 run = (1 << end) - low
                 if mask & run:

@@ -3,16 +3,17 @@
 Each exact classification is backed by a concrete family of graphs that
 avoid the classified pattern while holding minimum degree arbitrarily close
 to the threshold. Its members are balanced blow-ups of a seed, and every
-seed but an odd cycle comes from one rule, ``_join_seed(a, w)``: a clique
-on a vertices joined to the base of a weighting w, blown up by w on the
-base and (1 - t)|w| on each clique vertex, where t = min_v (Aw)_v / |w|.
-The seed's ratio is then exactly 1 - 1/(a + 1/(1 - t)).
+seed comes from one rule, ``_join_seed(a, w)``: a clique on a vertices
+joined to the base of a weighting w, blown up by w on the base and
+(1 - t)|w| on each clique vertex, where t = min_v (Aw)_v / |w|. The seed's
+ratio is then exactly 1 - 1/(a + 1/(1 - t)).
 
-* odd-cycle branch: the failing odd cycle;
 * gallery branch: a = r - 3 and the failing member's certified weighting,
   but a = r - 2 and the unit k-cycle for a wheel of rim length k, K4 = W3
   included, since W(k) = K1 + C(k): the same seed, labelled clique first;
-* interval branch: a = r - 2 and the unit (2g+1)-cycle.
+* odd-cycle and interval branches, the cycle joins at r = 2 and r >= 3:
+  a = r - 2 and the unit (2g+1)-cycle. At r = 2 the clique is empty and
+  the seed is the failing odd cycle itself.
 
 ``certify`` builds the family member near a requested order and checks the
 three facts that make it a witness: the classified pattern has no
@@ -27,7 +28,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import DeltaResult, scan_target
+from .classify import _KIND, DeltaResult, _require, scan_target
 from .errors import InvalidParameterError
 from .gallery import (
     _WEIGHTINGS,
@@ -40,6 +41,7 @@ from .gallery import (
 from .graphs import (
     Graph,
     Weighting,
+    _is_int,
     balanced_blow_up,
     blow_up,
     complete,
@@ -62,12 +64,9 @@ __all__ = [
 ]
 
 def odd_cycle_witness(g: int, n: int) -> Graph:
-    """Balanced blow-up of the (2g+1)-cycle on n vertices."""
-    if g < 1:
-        raise InvalidParameterError("g must be at least 1")
-    if n < 2 * g + 1:
-        raise InvalidParameterError("n must be at least the cycle length")
-    return balanced_blow_up(cycle(2 * g + 1), n)
+    """Balanced blow-up of the (2g+1)-cycle on n vertices: the cycle-join
+    family at r = 2, whose clique is empty."""
+    return balanced_blow_up(regular_join_witness(2, g), n)
 
 
 def _join_seed(a: int, w: Weighting) -> Graph:
@@ -87,12 +86,11 @@ def regular_join_witness(r: int, g: int) -> Graph:
 
     Has (2g-1)(r-1) + 2 vertices, is regular of degree (2g-1)(r-2) + 2,
     and its degree/order ratio equals cycle_join_threshold(r, g) exactly.
-    Built once per argument pair.
+    At r = 2 the clique is empty and this is the labelled (2g+1)-cycle,
+    2-regular with ratio 2/(2g + 1). Built once per argument pair.
     """
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
-    if g < 1:
-        raise InvalidParameterError("g must be at least 1")
+    _require("r", r, 2)
+    _require("g", g, 1)
     return _join_seed(r - 2, Weighting(cycle(2 * g + 1), (1,) * (2 * g + 1)))
 
 
@@ -106,8 +104,7 @@ def gallery_join_witness(r: int, tag: str) -> Graph:
     ``canonical_tag`` accepts; the wheels (K4 = W3 included) and the
     Petersen graph have no join witness.
     """
-    if r < 3:
-        raise InvalidParameterError("r must be at least 3")
+    _require("r", r, 3)
     tag = canonical_tag(tag)
     if tag in _WHEELS or tag not in SEQUENCE:
         raise InvalidParameterError(f"no join witness for gallery graph {tag!r}")
@@ -150,7 +147,8 @@ def witness_for_gallery_index(r: int, index: int) -> Graph:
     seed of g; the other members their certified weighting. Built once per
     argument pair.
     """
-    if not 1 <= index <= len(SEQUENCE):
+    _require("r", r, 3)
+    if not _is_int(index) or not 1 <= index <= len(SEQUENCE):
         raise InvalidParameterError(f"scan index must be in 1..{len(SEQUENCE)}")
     tag = SEQUENCE[index - 1]
     if tag in _WHEELS:
@@ -167,14 +165,12 @@ def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:
     target that failed.
     """
     r, index = result.r, result.index
-    if result.branch == "odd-cycle":
-        seed = scan_target("odd-cycle", index, r)
-        return seed, seed
-    if result.branch == "interval":
-        return regular_join_witness(r, index), scan_target("cycle-join", index, r)
-    if result.branch != "gallery":
+    kind = _KIND.get(result.branch)
+    if kind is None:
         raise InvalidParameterError(f"unknown branch {result.branch!r}")
-    return witness_for_gallery_index(r, index), scan_target("gallery-join", index, r)
+    if kind == "gallery-join":
+        return witness_for_gallery_index(r, index), scan_target(kind, index, r)
+    return regular_join_witness(r, index), scan_target(kind, index, r)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,30 @@ class TestConstants:
         assert cycle_join_threshold(3, 1) == Fraction(3, 4)  # 1 - 1/(2 + 2)
         with pytest.raises(InvalidParameterError):
             cycle_join_threshold(3, 0)
+        with pytest.raises(InvalidParameterError):
+            cycle_join_threshold(1, 1)
+
+    def test_odd_cycle_threshold_is_the_cycle_join_ratio_at_r_2(self):
+        for g in range(1, 9):
+            assert cycle_join_threshold(2, g) == Fraction(2, 2 * g + 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: threshold_constant(1.0),
+            lambda: threshold_constant(True),
+            lambda: degree_threshold(3.0, 1),
+            lambda: degree_threshold(3, 1.0),
+            lambda: degree_threshold(3, True),
+            lambda: cycle_join_threshold(3.0, 2),
+            lambda: cycle_join_threshold(3, 2.0),
+            lambda: cycle_join_threshold(3, True),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, call):
+        # A float would leave Fraction arithmetic, and a bool stands for 0 or 1.
+        with pytest.raises(InvalidParameterError):
+            call()
 
     def test_interval_shape(self):
         # An all-pass gallery certificate includes every wheel member, and a
@@ -277,6 +301,8 @@ class TestResultSerialization:
             DeltaResult.loads("{nope")
         with pytest.raises(ParseError):
             DeltaResult.loads('{"branch": "gallery"}')
+        with pytest.raises(ParseError, match="nested too deeply"):
+            DeltaResult.loads("[" * 200000)
 
     @pytest.mark.parametrize(
         "path, bad",
@@ -348,11 +374,29 @@ class TestCertificateCompleteness:
             ("cycle-join", 1),
             ("cycle-join", 2),
         ]
-        # C5 has odd girth 5, so its odd-cycle steps stop at g = 3.
+        # C5 has 5 vertices, so its odd-cycle steps stop at g = 3.
         assert _steps(cycle(5), 2) == [("odd-cycle", 1), ("odd-cycle", 2), ("odd-cycle", 3)]
 
+    def test_odd_cycle_steps_are_bounded_by_the_order(self):
+        # Petersen has 10 vertices, so its odd-cycle steps run to g = 5,
+        # past its odd girth; it fails at g = 2, and a failure claimed
+        # later needs a witness into the 5-cycle, which does not exist.
+        h = petersen()
+        assert _steps(h, 2) == [("odd-cycle", g) for g in range(1, 6)]
+        result = classify(h)
+        assert (result.branch, result.index) == ("odd-cycle", 2)
+        assert result.validate(h)
+        (first,) = result.certificate
+        for g in (4, 5):
+            claim = replace(result, index=g, value=Fraction(2, 2 * g + 1))
+            assert not claim.validate(h)
+            # Listing every earlier step does not help: the 3-colouring is
+            # no homomorphism into the 5-cycle.
+            steps = tuple(replace(first, index=i) for i in range(1, g))
+            assert not replace(claim, certificate=steps).validate(h)
+
     def test_index_past_the_scan_bound_rejected(self):
-        # C5's odd-cycle scan must fail by g = 3 (its odd girth is 5).
+        # C5's odd-cycle scan must fail by g = 3 (it has 5 vertices).
         h = cycle(5)
         result = classify(h)
         for g in (0, 4, 10**6):
@@ -363,8 +407,10 @@ class TestCertificateCompleteness:
     def test_odd_cycle_failure_at_r_3_rejected(self):
         # K4's certificate with an odd-cycle failure claimed at r = 3: no
         # odd-cycle step is among K4's scan steps at r = 3.
+        # The forged value is the r = 3 ratio, so only the step check rejects it.
         h = complete(4)
-        forged = replace(classify(h), branch="odd-cycle", index=1, value=Fraction(2, 3))
+        value = cycle_join_threshold(3, 1)
+        forged = replace(classify(h), branch="odd-cycle", index=1, value=value)
         assert not forged.validate(h)
 
     def test_failure_at_the_first_step_rejected(self):

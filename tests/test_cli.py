@@ -240,3 +240,8 @@ class TestUsage:
         bad = tmp_path / "bad.g6"
         bad.write_text("B")  # truncated body
         assert main(["chromatic", str(bad)]) == 2
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000)
+        assert main(["chromatic", str(deep)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: invalid JSON: nested too deeply (at byte 0)"

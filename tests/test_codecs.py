@@ -207,6 +207,8 @@ class TestJson:
             decode('{"order": 2, "edges": [[0, 0]]}', "json")
         with pytest.raises(ParseError):
             decode('{"order": 2, "edges": [[0, 2]]}', "json")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            decode("[" * 200000, "json")
 
     def test_order_bound(self):
         for n in (2000000, 258048):

@@ -73,6 +73,17 @@ class TestGraphValue:
         ]:
             with pytest.raises(InvalidParameterError):
                 Graph(order, adj)
+        # A bool row passes an int's shift and xor, and equals 0 or 1: it is
+        # rejected at the start of a run and inside a run of an equal int.
+        for order, adj in [
+            (2, (2, True)),
+            (1, (False,)),
+            (2, (False, 0)),
+            (2, (0, False)),
+            (3, (6, 1, True)),
+        ]:
+            with pytest.raises(InvalidParameterError, match="integer masks"):
+                Graph(order, adj)
         for order, edges in [(2.0, [(0, 1)]), (2, [(0.0, 1)]), (2, [(0, 1.0)]), (2, [(True, 0)])]:
             with pytest.raises(InvalidParameterError):
                 Graph.from_edges(order, edges)

@@ -46,6 +46,11 @@ class TestOddCycleWitness:
         with pytest.raises(InvalidParameterError):
             odd_cycle_witness(0, 10)
 
+    def test_is_the_cycle_join_family_at_r_2(self):
+        for g in range(1, 9):
+            for n in (2 * g + 1, 2 * g + 2, 60):
+                assert odd_cycle_witness(g, n) == balanced_blow_up(cycle(2 * g + 1), n)
+
 
 class TestRegularJoinWitness:
     def test_small_cases(self):
@@ -67,9 +72,31 @@ class TestRegularJoinWitness:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            regular_join_witness(2, 2)
+            regular_join_witness(1, 2)
         with pytest.raises(InvalidParameterError):
             regular_join_witness(3, 0)
+
+    def test_empty_clique_gives_the_odd_cycle(self):
+        for g in range(1, 9):
+            seed = regular_join_witness(2, g)
+            assert seed == cycle(2 * g + 1)
+            assert Fraction(2, seed.order) == cycle_join_threshold(2, g)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: regular_join_witness(3.0, 2),
+            lambda: regular_join_witness(3, 2.0),
+            lambda: regular_join_witness(3, True),
+            lambda: gallery_join_witness(3.0, "H2"),
+            lambda: witness_for_gallery_index(3, 1.0),
+            lambda: witness_for_gallery_index(3, True),
+            lambda: witness_for_gallery_index(3.0, 2),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 class TestGalleryJoinWitness:
@@ -130,6 +157,9 @@ class TestWitnessForIndex:
         assert witness_for_gallery_index(3, 1) == complete(4)
         with pytest.raises(InvalidParameterError):
             witness_for_gallery_index(3, 13)
+        # The cycle-join seed of a wheel accepts r = 2; a gallery index does not.
+        with pytest.raises(InvalidParameterError):
+            witness_for_gallery_index(2, 1)
 
 
 class TestMemos:
@@ -166,7 +196,7 @@ class TestMemos:
             with pytest.raises(InvalidParameterError):
                 scan_target("wheel-join", 1, 3)
             with pytest.raises(InvalidParameterError):
-                regular_join_witness(2, 1)
+                regular_join_witness(1, 1)
             with pytest.raises(InvalidParameterError):
                 witness_for_gallery_index(3, 13)
 
