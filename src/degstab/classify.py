@@ -34,7 +34,7 @@ from .errors import (
     UndefinedThresholdError,
 )
 from .gallery import CONSTANT_TABLE, SEQUENCE, sequence_graph
-from .graphs import Graph, _is_int, complete, cycle, join
+from .graphs import Graph, _is_int, _require, complete, cycle, join
 from .hom import HomWitness, chromatic_number, homomorphism_search, is_k_colorable
 
 __all__ = [
@@ -48,15 +48,6 @@ __all__ = [
     "DeltaResult",
     "classify",
 ]
-
-
-def _require(name: str, value, least: int) -> None:
-    """Reject a bool, a non-int or a value below least, so that the
-    thresholds stay exact ``Fraction`` arithmetic."""
-    if not _is_int(value):
-        raise InvalidParameterError(f"{name} must be an integer")
-    if value < least:
-        raise InvalidParameterError(f"{name} must be at least {least}")
 
 
 def threshold_constant(index: int) -> Fraction:
@@ -209,7 +200,7 @@ class DeltaResult:
     def from_json(cls, data: dict) -> "DeltaResult":
         def integer(value):
             # JSON true and false load as bool, a subclass of int.
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise TypeError(f"{value!r} is not an integer")
             return value
 

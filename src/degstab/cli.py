@@ -60,9 +60,12 @@ def _emit_graph(g: Graph, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
         sys.stdout.write(end)
     else:
-        with Path(out).open("w") as f:
-            f.write(text)
-            f.write(end)
+        try:
+            with Path(out).open("w") as f:
+                f.write(text)
+                f.write(end)
+        except OSError as e:
+            raise DegstabError(f"cannot write {out}: {e}") from None
 
 
 def _add_input(parser: argparse.ArgumentParser, name: str = "file") -> None:

@@ -27,7 +27,7 @@ import json
 import re
 
 from .errors import InvalidParameterError, ParseError, UnsupportedError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 FORMATS = ("graph6", "edge-list", "json")
 
@@ -221,17 +221,13 @@ def _decode_json(text: str) -> Graph:
     if set(data) != {"order", "edges"}:
         raise ParseError('JSON object must have exactly the keys "order" and "edges"', 0)
     n = data["order"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError('"order" must be a nonnegative integer', 0)
     raw = data["edges"]
     if not isinstance(raw, list):
         raise ParseError('"edges" must be a list', 0)
     for e in raw:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
+        if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise ParseError(f"edge {e!r} must be a pair of integers", 0)
     return _from_pairs(n, ((u, v, 0, 0) for u, v in raw))
 

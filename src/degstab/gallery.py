@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from ._purecore import _bits
 from .errors import InvalidParameterError, UnsupportedError
-from .graphs import Graph, Weighting, petersen, wheel
+from .graphs import Graph, Weighting, _is_int, petersen, wheel
 from .hom import chromatic_number
 
 SEQUENCE = (
@@ -141,7 +141,7 @@ _CANONICAL.update({f"f{i}": tag for i, tag in enumerate(SEQUENCE, start=1)})
 
 def canonical_tag(name: str) -> str:
     """Normalize a gallery name; F1..F12 are accepted as positional aliases."""
-    tag = _CANONICAL.get(name.strip().lower())
+    tag = _CANONICAL.get(name.strip().lower()) if isinstance(name, str) else None
     if tag is None:
         raise InvalidParameterError(f"unknown gallery graph {name!r}")
     return tag
@@ -151,11 +151,17 @@ def gallery_graph(name: str) -> Graph:
     return _GRAPHS[canonical_tag(name)]
 
 
+def sequence_tag(index: int) -> str:
+    """The tag of the index-th scan graph, 1-based over the twelve-member
+    sequence."""
+    if not _is_int(index) or not 1 <= index <= len(SEQUENCE):
+        raise InvalidParameterError(f"sequence index must be in 1..{len(SEQUENCE)}")
+    return SEQUENCE[index - 1]
+
+
 def sequence_graph(index: int) -> Graph:
     """The index-th scan graph, 1-based over the twelve-member sequence."""
-    if not 1 <= index <= len(SEQUENCE):
-        raise InvalidParameterError(f"sequence index must be in 1..{len(SEQUENCE)}")
-    return gallery_graph(SEQUENCE[index - 1])
+    return _GRAPHS[sequence_tag(index)]
 
 
 def gallery_weighting(name: str) -> Weighting:

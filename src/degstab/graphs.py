@@ -21,6 +21,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require(name: str, value, least: int) -> None:
+    """The one check of an integer parameter: reject a bool, a non-int or a
+    value below least, naming the parameter, so that no float reaches a
+    count, an order or the exact ``Fraction`` thresholds."""
+    if not _is_int(value):
+        raise InvalidParameterError(f"{name} must be an integer")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be at least {least}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph on vertices 0..order-1.
@@ -116,9 +126,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if not _is_int(order):
-            raise InvalidParameterError("order must be an integer")
-        masks = [0] * max(order, 0)
+        _require("order", order, 0)
+        masks = [0] * order
         for u, v in edges:
             if not (_is_int(u) and _is_int(v)):
                 raise InvalidParameterError(f"edge {u!r}-{v!r} has a non-integer endpoint")
@@ -207,37 +216,32 @@ class Weighting:
 
 
 def empty_graph(n: int) -> Graph:
-    if n < 0:
-        raise InvalidParameterError("order must be nonnegative")
+    _require("n", n, 0)
     return Graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     """The clique on n vertices; n = 0 gives the empty graph."""
-    if n < 0:
-        raise InvalidParameterError("complete: n must be nonnegative")
+    _require("n", n, 0)
     full = (1 << n) - 1
     return Graph(n, tuple([full & ~(1 << v) for v in range(n)]))
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise InvalidParameterError("cycle: n must be at least 3")
+    _require("n", n, 3)
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def wheel(k: int) -> Graph:
     """A k-cycle plus a hub (vertex k) adjacent to every cycle vertex."""
-    if k < 3:
-        raise InvalidParameterError("wheel: k must be at least 3")
+    _require("k", k, 3)
     edges = [(v, (v + 1) % k) for v in range(k)]
     edges += [(v, k) for v in range(k)]
     return Graph.from_edges(k + 1, edges)
 
 
 def cycle_complement(n: int) -> Graph:
-    if n < 5:
-        raise InvalidParameterError("cycle_complement: n must be at least 5")
+    _require("n", n, 5)
     return cycle(n).complement()
 
 
@@ -289,8 +293,7 @@ def balanced_blow_up(base: Graph, n: int) -> Graph:
     """
     if base.order < 1:
         raise InvalidParameterError("balanced_blow_up: base must be nonempty")
-    if n < base.order:
-        raise InvalidParameterError("balanced_blow_up: n must be at least the base order")
+    _require("n", n, base.order)
     q, r = divmod(n, base.order)
     weights = tuple([q + 1 if v < r else q for v in range(base.order)])
     return blow_up(Weighting(base, weights))
@@ -330,9 +333,14 @@ def peel_min_degree(g: Graph, threshold) -> Graph:
     (relabelled densely) and may be empty. Comparisons are exact rational
     arithmetic, never floating point.
     """
-    t = Fraction(threshold)
-    if t < 0 or t > 1:
-        raise InvalidParameterError("peel_min_degree: threshold must lie in [0, 1]")
+    try:
+        t = Fraction(threshold)
+        if not 0 <= t <= 1:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):  # e.g. None, "x", nan, inf
+        raise InvalidParameterError(
+            "peel_min_degree: threshold must be a number in [0, 1]"
+        ) from None
     cutoff = t * g.order
     alive = (1 << g.order) - 1
     changed = True

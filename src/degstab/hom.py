@@ -24,8 +24,7 @@ from itertools import product
 
 from . import backend
 from ._purecore import _bits
-from .errors import InvalidParameterError
-from .graphs import Graph, is_bipartite
+from .graphs import Graph, _require, is_bipartite
 
 __all__ = [
     "HomWitness",
@@ -114,8 +113,7 @@ def brute_hom(p_adj, t_adj):
 
 def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     """A proper coloring with at most k colors, or None if impossible."""
-    if k < 0:
-        raise InvalidParameterError("k must be nonnegative")
+    _require("k", k, 0)
     reduced, _, rep = backend.prepared(g.adj).reduction
     colors = backend.color_search(reduced, k)
     if colors is None:
@@ -150,8 +148,7 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     Size 0 yields the single empty clique. Output is in lexicographic
     order.
     """
-    if size < 0:
-        raise InvalidParameterError("clique size must be nonnegative")
+    _require("size", size, 0)
     out: list[tuple[int, ...]] = []
     full = (1 << g.order) - 1
 
@@ -177,8 +174,7 @@ def is_a_locally_bipartite(g: Graph, a: int):
 
     Returns (True, None) or (False, first violating clique in lex order).
     """
-    if a < 1:
-        raise InvalidParameterError("a must be at least 1")
+    _require("a", a, 1)
     for clique in cliques_of_size(g, a):
         common = (1 << g.order) - 1
         for v in clique:

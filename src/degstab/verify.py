@@ -24,7 +24,7 @@ from . import codecs
 from .classify import degree_threshold, scan_target
 from .errors import InvalidParameterError, ResourceBudgetError
 from .gallery import SEQUENCE
-from .graphs import Graph, cycle, degree_profile, odd_girth
+from .graphs import Graph, _require, cycle, degree_profile, odd_girth
 from .hom import (
     chromatic_number,
     has_homomorphism,
@@ -69,7 +69,8 @@ class CorpusSpec:
 
     @classmethod
     def exhaustive(cls, max_order: int) -> "CorpusSpec":
-        if not 0 <= max_order <= EXHAUSTIVE_MAX_ORDER:
+        _require("max_order", max_order, 0)
+        if max_order > EXHAUSTIVE_MAX_ORDER:
             raise InvalidParameterError(
                 f"exhaustive corpora support orders 0..{EXHAUSTIVE_MAX_ORDER}"
             )
@@ -77,8 +78,8 @@ class CorpusSpec:
 
     @classmethod
     def random(cls, count: int, order: int, p: float, seed: int) -> "CorpusSpec":
-        if count < 0 or order < 0:
-            raise InvalidParameterError("count and order must be nonnegative")
+        _require("count", count, 0)
+        _require("order", order, 0)
         if not 0.0 <= p <= 1.0:
             raise InvalidParameterError("edge probability must lie in [0, 1]")
         return cls(mode="random", count=count, order=order, p=p, seed=seed)
@@ -195,8 +196,7 @@ def brute_min_edits_to_k_partite(g: Graph, k: int) -> int:
     Zero exactly when g is k-colorable. Raises ResourceBudgetError when
     k^order exceeds the enumeration budget of 10^8.
     """
-    if k < 1:
-        raise InvalidParameterError("k must be at least 1")
+    _require("k", k, 1)
     if k**g.order > EDIT_ORACLE_BUDGET:
         raise ResourceBudgetError(
             f"{k}^{g.order} partitions exceed the budget of {EDIT_ORACLE_BUDGET}"
@@ -247,8 +247,7 @@ def check_hom_odd_girth(spec, g_max: int) -> VerificationReport:
     Checked for every corpus graph and every g up to g_max; bipartite
     graphs satisfy it vacuously.
     """
-    if g_max < 1:
-        raise InvalidParameterError("g_max must be at least 1")
+    _require("g_max", g_max, 1)
     targets = [(g, cycle(2 * g + 1)) for g in range(1, g_max + 1)]
 
     def probe(g: Graph):
@@ -269,8 +268,7 @@ def check_haggkvist(spec, g: int) -> VerificationReport:
     "Short" means length below 2g + 1; the degree hypothesis is strict, so
     graphs exactly on the boundary are vacuous.
     """
-    if g < 2:
-        raise InvalidParameterError("g must be at least 2")
+    _require("g", g, 2)
 
     def probe(graph: Graph):
         if graph.order == 0:
@@ -293,7 +291,8 @@ def check_properties(r: int) -> VerificationReport:
     (r+1)-chromatic, and for each index up to 11 the matching witness
     family must hit its threshold ratio exactly.
     """
-    if r not in (3, 4, 5):
+    _require("r", r, 3)
+    if r > 5:
         raise InvalidParameterError("r must be 3, 4 or 5")
     start = time.perf_counter()
     violations = []
@@ -330,8 +329,7 @@ def check_properties(r: int) -> VerificationReport:
 def check_locally_bipartite_claims(a: int, spec) -> VerificationReport:
     """Falsification search: a-locally bipartite graphs with min degree
     strictly above (1 - 1/(a + 4/3)) n must be (a+2)-colorable."""
-    if a < 1:
-        raise InvalidParameterError("a must be at least 1")
+    _require("a", a, 1)
     threshold = 1 - 1 / (a + Fraction(4, 3))
 
     def probe(g: Graph):
@@ -368,8 +366,7 @@ def search_hom_free_lower_bound(
     k + 1 equals the chromatic number of h. Returns the hit with the
     largest ratio (earliest corpus index on ties), or None.
     """
-    if k < 0:
-        raise InvalidParameterError("k must be nonnegative")
+    _require("k", k, 0)
     c = Fraction(c)
     best: LowerBoundHit | None = None
     for index, g in enumerate(spec):

@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import _KIND, DeltaResult, _require, scan_target
+from .classify import _KIND, DeltaResult, scan_target
 from .errors import InvalidParameterError
 from .gallery import (
     _WEIGHTINGS,
@@ -37,11 +37,12 @@ from .gallery import (
     _weighted_degrees,
     canonical_tag,
     gallery_weighting,
+    sequence_tag,
 )
 from .graphs import (
     Graph,
     Weighting,
-    _is_int,
+    _require,
     balanced_blow_up,
     blow_up,
     complete,
@@ -118,8 +119,7 @@ def scaled_gallery_weighting(tag: str, scale: int, strict: bool = False) -> Weig
     of the whole gallery graph; its degree ratio then approaches the stored
     optimum from below as scale grows.
     """
-    if scale < 1:
-        raise InvalidParameterError("scale must be at least 1")
+    _require("scale", scale, 1)
     w = gallery_weighting(tag)
     weights = tuple(
         x * scale if x or not strict else 1
@@ -132,10 +132,8 @@ def edit_lower_bound(base_order: int, n: int) -> int:
     """Counting bound: a balanced blow-up of a base with a non-colorable
     core needs at least floor(n / base_order)^2 edge deletions to lose it.
     """
-    if base_order < 1:
-        raise InvalidParameterError("base order must be positive")
-    if n < base_order:
-        raise InvalidParameterError("n must be at least the base order")
+    _require("base_order", base_order, 1)
+    _require("n", n, base_order)
     return (n // base_order) ** 2
 
 
@@ -148,9 +146,7 @@ def witness_for_gallery_index(r: int, index: int) -> Graph:
     argument pair.
     """
     _require("r", r, 3)
-    if not _is_int(index) or not 1 <= index <= len(SEQUENCE):
-        raise InvalidParameterError(f"scan index must be in 1..{len(SEQUENCE)}")
-    tag = SEQUENCE[index - 1]
+    tag = sequence_tag(index)
     if tag in _WHEELS:
         return regular_join_witness(r, _WHEELS[tag] // 2)
     return gallery_join_witness(r, tag)
@@ -203,8 +199,6 @@ def certify(h: Graph, result: DeltaResult, n: int) -> CertificationReport:
     if not result.validate(h):
         raise InvalidParameterError("result does not match the supplied graph")
     seed, base = witness_base(result)
-    if n < seed.order:
-        raise InvalidParameterError(f"n must be at least the seed order {seed.order}")
     member = balanced_blow_up(seed, n)
     target_value = result.value if result.value is not None else result.lower
 

@@ -49,6 +49,12 @@ class TestGallery:
         assert main(["gallery", "F13"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "k4.g6"
+        assert main(["gallery", "K4", "--out", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: cannot write {target}: ")
+
 
 class TestHom:
     def test_none(self, tmp_path, capsys):
@@ -134,6 +140,12 @@ class TestWitnessAndCertify:
             member = balanced_blow_up(witness_base(classify(h))[0], 200)
             assert out.read_text() == oracles.graph6(member) + "\n"
 
+    def test_witness_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "k3.g6", complete(3))
+        out = tmp_path / "missing" / "w.g6"
+        assert main(["witness", f, "--n", "40", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     def test_certify_pass(self, tmp_path, capsys):
         f = write_graph(tmp_path, "k4.g6", complete(4))
         assert main(["certify", f, "--n", "40"]) == 0
@@ -200,6 +212,7 @@ class TestVerify:
     def test_unknown_suite_and_bad_corpus(self, capsys):
         assert main(["verify", "nonsense"]) == 2
         assert main(["verify", "odd-girth", "--corpus", "bogus:1"]) == 2
+        assert main(["verify", "properties:x"]) == 2
 
     def test_haggkvist_parameter_is_a_usage_error(self, capsys):
         assert main(["verify", "haggkvist:3", "--corpus", "exhaustive:4"]) == 2

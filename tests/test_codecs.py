@@ -164,6 +164,12 @@ class TestEdgeList:
             decode("3 2\n0 1", "edge-list")  # fewer edges than promised
         err = pytest.raises(ParseError, decode, "3 1\n0 1\n1 2", "edge-list").value
         assert err.offset == 8  # trailing tokens start at the second edge
+        err = pytest.raises(ParseError, decode, "-3 0", "edge-list").value
+        assert err.offset == 0  # negative vertex count
+        err = pytest.raises(ParseError, decode, "3 -1", "edge-list").value
+        assert err.offset == 2  # negative edge count
+        err = pytest.raises(ParseError, decode, "3 1\n3 0", "edge-list").value
+        assert err.offset == 4  # first endpoint out of range
         err = pytest.raises(ParseError, decode, "3 1\n0 3", "edge-list").value
         assert err.offset == 6  # endpoint out of range
         err = pytest.raises(ParseError, decode, "3 1\n1 1", "edge-list").value
@@ -201,6 +207,8 @@ class TestJson:
             decode('{"order": false, "edges": []}', "json")
         with pytest.raises(ParseError):
             decode('{"order": 2, "edges": [[0, 1], [1, 0]]}', "json")
+        with pytest.raises(ParseError, match="must be a list"):
+            decode('{"order": 2, "edges": {}}', "json")
         with pytest.raises(ParseError):
             decode('{"order": 2, "edges": [[0, true]]}', "json")
         with pytest.raises(ParseError):

@@ -151,6 +151,9 @@ class TestNaming:
             canonical_tag("F13")
         with pytest.raises(InvalidParameterError):
             gallery_graph("nope")
+        for name in (3, None, b"K4"):
+            with pytest.raises(InvalidParameterError, match="unknown gallery graph"):
+                gallery_graph(name)
         with pytest.raises(InvalidParameterError):
             sequence_graph(0)
         with pytest.raises(InvalidParameterError):

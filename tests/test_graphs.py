@@ -21,9 +21,26 @@ from degstab import (
     petersen,
     wheel,
 )
+from degstab.classify import classify
 from degstab.errors import InvalidParameterError
-from degstab.verify import CorpusSpec
-from degstab.witness import witness_for_gallery_index
+from degstab.gallery import sequence_graph
+from degstab.hom import cliques_of_size, find_coloring, is_a_locally_bipartite
+from degstab.verify import (
+    CorpusSpec,
+    brute_min_edits_to_k_partite,
+    check_haggkvist,
+    check_hom_odd_girth,
+    check_locally_bipartite_claims,
+    check_properties,
+    search_hom_free_lower_bound,
+)
+from degstab.witness import (
+    certify,
+    edit_lower_bound,
+    odd_cycle_witness,
+    scaled_gallery_weighting,
+    witness_for_gallery_index,
+)
 from tests import oracles
 
 
@@ -36,6 +53,9 @@ class TestGraphValue:
         assert g.degree(1) == 2
         assert g.neighbors(2) == (1, 3)
         assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+        # Any sequence of masks is stored as a tuple.
+        listed = Graph(4, list(g.adj))
+        assert listed == g and type(listed.adj) is tuple
 
     def test_equality_is_labelled(self):
         a = Graph.from_edges(3, [(0, 1)])
@@ -61,6 +81,8 @@ class TestGraphValue:
             Graph(1, (-1,))  # negative mask
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(2, [(1, 1)])
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            complete(3).degree(3)
         # Non-integer input is a parameter error, not a TypeError.
         for order, adj in [
             (2, (2.0, 1.0)),
@@ -475,3 +497,55 @@ class TestPeel:
             peel_min_degree(complete(3), Fraction(3, 2))
         with pytest.raises(InvalidParameterError):
             peel_min_degree(complete(3), -1)
+
+    @pytest.mark.parametrize("threshold", ["x", float("nan"), float("inf"), None])
+    def test_non_numeric_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidParameterError, match="threshold must be a number"):
+            peel_min_degree(complete(3), threshold)
+
+
+# Every public entry point that takes an integer count, order or index, as
+# (entry point, the parameter, its least valid value), the parameter passed
+# last. Each rejects a float, a bool and a value below the bound with an
+# InvalidParameterError that names the parameter.
+INTEGER_PARAMETERS = {
+    "empty_graph": (empty_graph, "n", 0),
+    "complete": (complete, "n", 0),
+    "cycle": (cycle, "n", 3),
+    "wheel": (wheel, "k", 3),
+    "cycle_complement": (cycle_complement, "n", 5),
+    "from_edges": (lambda order: Graph.from_edges(order, []), "order", 0),
+    "balanced_blow_up": (lambda n: balanced_blow_up(complete(3), n), "n", 3),
+    "find_coloring": (lambda k: find_coloring(complete(3), k), "k", 0),
+    "cliques_of_size": (lambda size: cliques_of_size(complete(3), size), "size", 0),
+    "is_a_locally_bipartite": (lambda a: is_a_locally_bipartite(complete(3), a), "a", 1),
+    "exhaustive": (CorpusSpec.exhaustive, "max_order", 0),
+    "random.count": (lambda count: CorpusSpec.random(count, 5, 0.5, 1), "count", 0),
+    "random.order": (lambda order: CorpusSpec.random(3, order, 0.5, 1), "order", 0),
+    "brute_min_edits": (lambda k: brute_min_edits_to_k_partite(complete(3), k), "k", 1),
+    "check_hom_odd_girth": (lambda g_max: check_hom_odd_girth([], g_max), "g_max", 1),
+    "check_properties": (check_properties, "r", 3),
+    "check_haggkvist": (lambda g: check_haggkvist([], g), "g", 2),
+    "check_locally_bipartite": (lambda a: check_locally_bipartite_claims(a, []), "a", 1),
+    "search_lower_bound": (
+        lambda k: search_hom_free_lower_bound(complete(3), k, Fraction(1, 2), []),
+        "k",
+        0,
+    ),
+    "scaled_weighting": (lambda scale: scaled_gallery_weighting("H2", scale), "scale", 1),
+    "edit_bound.base_order": (lambda base_order: edit_lower_bound(base_order, 10), "base_order", 1),
+    "edit_bound.n": (lambda n: edit_lower_bound(3, n), "n", 3),
+    "odd_cycle_witness": (lambda n: odd_cycle_witness(2, n), "n", 5),
+    "certify": (lambda n: certify(complete(4), classify(complete(4)), n), "n", 8),
+    "sequence_graph": (sequence_graph, "index", 1),
+    "witness_for_gallery_index": (lambda index: witness_for_gallery_index(3, index), "index", 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_share_one_rule(entry, kind):
+    call, name, least = INTEGER_PARAMETERS[entry]
+    value = {"float": float(least), "bool": True, "below": least - 1}[kind]
+    with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
+        call(value)

@@ -85,6 +85,10 @@ class TestCorpus:
             with pytest.raises(InvalidParameterError):
                 CorpusSpec.parse(text)
 
+    def test_unknown_mode(self):
+        with pytest.raises(InvalidParameterError, match="unknown corpus mode"):
+            next(CorpusSpec("bogus").graphs())
+
     def test_probability_bounds(self):
         with pytest.raises(InvalidParameterError):
             CorpusSpec.random(10, 5, 1.5, 0)

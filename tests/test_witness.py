@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from degstab import (
+    DeltaResult,
     HomWitness,
     Weighting,
     balanced_blow_up,
@@ -340,6 +341,11 @@ class TestEditBoundCheck:
 
 
 class TestWitnessBase:
+    def test_unknown_branch(self):
+        result = DeltaResult(3, "bogus", 2, None, None, None, (), 0)
+        with pytest.raises(InvalidParameterError, match="unknown branch"):
+            witness_base(result)
+
     def test_odd_cycle_branch(self):
         result = classify(cycle(5))
         seed, base = witness_base(result)
