@@ -63,11 +63,8 @@ from .witness import (
     CertificationReport,
     certify,
     edit_lower_bound,
-    gallery_join_witness,
-    odd_cycle_witness,
-    regular_join_witness,
     scaled_gallery_weighting,
-    witness_for_gallery_index,
+    scan_seed,
 )
 
 __version__ = "0.1.0"

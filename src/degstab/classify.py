@@ -93,10 +93,14 @@ def scan_target(kind: str, index: int, r: int) -> Graph:
     "gallery-join" joins a clique on r - 3 vertices to gallery member j.
     "cycle-join" joins a clique on r - 2 vertices to the (2g+1)-cycle, and
     "odd-cycle" names the same target at r = 2, where the clique is empty
-    and the target is the labelled cycle."""
+    and the target is the labelled cycle. The checks run on a miss only."""
     if kind == "gallery-join":
+        _require("index", index, 1)
+        _require("r", r, 3)
         return join(complete(r - 3), sequence_graph(index))
     if kind in ("odd-cycle", "cycle-join"):
+        _require("index", index, 1)
+        _require("r", r, 2)
         return join(complete(r - 2), cycle(2 * index + 1))
     raise InvalidParameterError(f"unknown scan kind {kind!r}")
 

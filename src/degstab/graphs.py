@@ -177,12 +177,15 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabelled densely in increasing vertex order."""
-        keep = sorted(set(vertices))
-        for v in keep:
+        vertices = tuple(vertices)  # checked one by one: a set merges True into 1
+        for v in vertices:
             self._check_vertex(v)
+        keep = sorted(set(vertices))
         return Graph(len(keep), backend._induced(self.adj, keep))
 
     def _check_vertex(self, v: int) -> None:
+        if not _is_int(v):
+            raise InvalidParameterError(f"vertex {v!r} must be an integer")
         if not 0 <= v < self.order:
             raise InvalidParameterError(f"vertex {v} out of range for order {self.order}")
 

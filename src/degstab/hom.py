@@ -50,8 +50,10 @@ class HomWitness:
     def is_valid(self, pattern: Graph, target: Graph) -> bool:
         if len(self.mapping) != pattern.order:
             return False
-        if any(not 0 <= x < target.order for x in self.mapping):
-            return False
+        order = target.order
+        for x in self.mapping:
+            if type(x) is not int or not 0 <= x < order:
+                return False
         for u, v in pattern.edges():
             if not (target.adj[self.mapping[u]] >> self.mapping[v]) & 1:
                 return False

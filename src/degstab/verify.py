@@ -24,14 +24,14 @@ from . import codecs
 from .classify import degree_threshold, scan_target
 from .errors import InvalidParameterError, ResourceBudgetError
 from .gallery import SEQUENCE
-from .graphs import Graph, _require, cycle, degree_profile, odd_girth
+from .graphs import Graph, _is_int, _require, cycle, degree_profile, odd_girth
 from .hom import (
     chromatic_number,
     has_homomorphism,
     is_a_locally_bipartite,
     is_k_colorable,
 )
-from .witness import witness_for_gallery_index
+from .witness import scan_seed
 
 __all__ = [
     "CorpusSpec",
@@ -80,8 +80,10 @@ class CorpusSpec:
     def random(cls, count: int, order: int, p: float, seed: int) -> "CorpusSpec":
         _require("count", count, 0)
         _require("order", order, 0)
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError("edge probability must lie in [0, 1]")
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+            raise InvalidParameterError("edge probability p must be a number in [0, 1]")
+        if not _is_int(seed):
+            raise InvalidParameterError("seed must be an integer")
         return cls(mode="random", count=count, order=order, p=p, seed=seed)
 
     @classmethod
@@ -306,7 +308,7 @@ def check_properties(r: int) -> VerificationReport:
                 Violation(j, target, f"join at index {j} has chromatic number {chi}")
             )
     for g in range(1, len(SEQUENCE)):
-        seed = witness_for_gallery_index(r, g + 1)
+        seed = scan_seed("gallery-join", g + 1, r)
         checked += 1
         profile = degree_profile(seed)
         ratio = Fraction(profile.min_degree, seed.order)

@@ -3,17 +3,21 @@
 Each exact classification is backed by a concrete family of graphs that
 avoid the classified pattern while holding minimum degree arbitrarily close
 to the threshold. Its members are balanced blow-ups of a seed, and every
-seed comes from one rule, ``_join_seed(a, w)``: a clique on a vertices
-joined to the base of a weighting w, blown up by w on the base and
-(1 - t)|w| on each clique vertex, where t = min_v (Aw)_v / |w|. The seed's
-ratio is then exactly 1 - 1/(a + 1/(1 - t)).
+seed comes from one rule, ``scan_seed(kind, index, r)``, keyed like
+``scan_target``: the failing step's target K_a + B blown up by a weighting
+w of B on B and by (1 - t)|w| on each clique vertex, where
+t = min_v (Aw)_v / |w|. The seed's ratio is then exactly
+1 - 1/(a + 1/(1 - t)).
 
 * gallery branch: a = r - 3 and the failing member's certified weighting,
-  but a = r - 2 and the unit k-cycle for a wheel of rim length k, K4 = W3
-  included, since W(k) = K1 + C(k): the same seed, labelled clique first;
+  except for a wheel of rim length k = 2g + 1, K4 = W3 included, whose
+  seed is the cycle-join seed of g, since W(k) = K1 + C(k): the same
+  graph, labelled clique first;
 * odd-cycle and interval branches, the cycle joins at r = 2 and r >= 3:
-  a = r - 2 and the unit (2g+1)-cycle. At r = 2 the clique is empty and
-  the seed is the failing odd cycle itself.
+  a = r - 2 and the unit (2g+1)-cycle, so the seed is regular, with
+  (2g - 1)(r - 1) + 2 vertices and ratio ``cycle_join_threshold(r, g)``.
+  At r = 2 the clique is empty and the seed is the failing odd cycle
+  itself.
 
 ``certify`` builds the family member near a requested order and checks the
 three facts that make it a witness: the classified pattern has no
@@ -33,9 +37,7 @@ from .errors import InvalidParameterError
 from .gallery import (
     _WEIGHTINGS,
     _WHEELS,
-    SEQUENCE,
     _weighted_degrees,
-    canonical_tag,
     gallery_weighting,
     sequence_tag,
 )
@@ -45,17 +47,12 @@ from .graphs import (
     _require,
     balanced_blow_up,
     blow_up,
-    complete,
-    cycle,
     degree_profile,
-    join,
 )
 from .hom import has_homomorphism, is_k_colorable
 
 __all__ = [
-    "odd_cycle_witness",
-    "regular_join_witness",
-    "gallery_join_witness",
+    "scan_seed",
     "scaled_gallery_weighting",
     "edit_lower_bound",
     "witness_base",
@@ -64,52 +61,25 @@ __all__ = [
     "certify",
 ]
 
-def odd_cycle_witness(g: int, n: int) -> Graph:
-    """Balanced blow-up of the (2g+1)-cycle on n vertices: the cycle-join
-    family at r = 2, whose clique is empty."""
-    return balanced_blow_up(regular_join_witness(2, g), n)
-
-
-def _join_seed(a: int, w: Weighting) -> Graph:
-    # The clique weight (1 - t)|w|: |w| minus the least weighted degree.
-    clique = w.total - min(_weighted_degrees(w.base, w.weights))
-    return blow_up(Weighting(join(complete(a), w.base), (clique,) * a + w.weights))
-
-
-# Seeds each of ``regular_join_witness`` and ``witness_for_gallery_index``
-# keeps: ``certify`` asks for the same few immutable seeds again and again.
+# Seeds ``scan_seed`` keeps: ``certify`` asks for the same few immutable
+# seeds again and again.
 _SEED_MEMO_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_SEED_MEMO_SIZE, typed=True)
-def regular_join_witness(r: int, g: int) -> Graph:
-    """Clique on r - 2 vertices blown up by 2g - 1, joined to a (2g+1)-cycle.
-
-    Has (2g-1)(r-1) + 2 vertices, is regular of degree (2g-1)(r-2) + 2,
-    and its degree/order ratio equals cycle_join_threshold(r, g) exactly.
-    At r = 2 the clique is empty and this is the labelled (2g+1)-cycle,
-    2-regular with ratio 2/(2g + 1). Built once per argument pair.
-    """
-    _require("r", r, 2)
-    _require("g", g, 1)
-    return _join_seed(r - 2, Weighting(cycle(2 * g + 1), (1,) * (2 * g + 1)))
-
-
-def gallery_join_witness(r: int, tag: str) -> Graph:
-    """Extremal join witness for the locally bipartite gallery members.
-
-    The member carries its certified weighting (unit weights for C7bar),
-    joined to a clique on r - 3 vertices whose classes have weight
-    (1 - t)|w|, which is 7 - 4 = 3 for C7bar. For r = 3 the clique part is
-    empty and the weighted blow-up itself is returned. The tag is any name
-    ``canonical_tag`` accepts; the wheels (K4 = W3 included) and the
-    Petersen graph have no join witness.
-    """
-    _require("r", r, 3)
-    tag = canonical_tag(tag)
-    if tag in _WHEELS or tag not in SEQUENCE:
-        raise InvalidParameterError(f"no join witness for gallery graph {tag!r}")
-    return _join_seed(r - 3, _WEIGHTINGS[tag])
+def scan_seed(kind: str, index: int, r: int) -> Graph:
+    """The seed of a failure at scan step (kind, index) at r, by the rule
+    above, built once per argument triple. It checks its arguments by
+    building the target first, so it raises what ``scan_target`` raises."""
+    target = scan_target(kind, index, r)
+    tag = sequence_tag(index) if kind == "gallery-join" else None
+    if tag in _WHEELS:
+        return scan_seed("cycle-join", _WHEELS[tag] // 2, r)
+    weights = _WEIGHTINGS[tag].weights if tag else (1,) * (2 * index + 1)
+    a = target.order - len(weights)
+    # A clique vertex's weighted degree is |w|, never below a base vertex's.
+    clique = sum(weights) - min(_weighted_degrees(target, (0,) * a + weights))
+    return blow_up(Weighting(target, (clique,) * a + weights))
 
 
 def scaled_gallery_weighting(tag: str, scale: int, strict: bool = False) -> Weighting:
@@ -137,21 +107,6 @@ def edit_lower_bound(base_order: int, n: int) -> int:
     return (n // base_order) ** 2
 
 
-@functools.lru_cache(maxsize=_SEED_MEMO_SIZE, typed=True)
-def witness_for_gallery_index(r: int, index: int) -> Graph:
-    """Witness family seed for a failure at the given 1..12 scan index.
-
-    A wheel of rim length k = 2g + 1, K4 = W3 included, uses the cycle-join
-    seed of g; the other members their certified weighting. Built once per
-    argument pair.
-    """
-    _require("r", r, 3)
-    tag = sequence_tag(index)
-    if tag in _WHEELS:
-        return regular_join_witness(r, _WHEELS[tag] // 2)
-    return gallery_join_witness(r, tag)
-
-
 def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:
     """The witness family's seed graph and its homomorphism base.
 
@@ -160,13 +115,11 @@ def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:
     homomorphism into base appears in no member. The base is the scan
     target that failed.
     """
-    r, index = result.r, result.index
     kind = _KIND.get(result.branch)
     if kind is None:
         raise InvalidParameterError(f"unknown branch {result.branch!r}")
-    if kind == "gallery-join":
-        return witness_for_gallery_index(r, index), scan_target(kind, index, r)
-    return regular_join_witness(r, index), scan_target(kind, index, r)
+    step = (kind, result.index, result.r)
+    return scan_seed(*step), scan_target(*step)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,11 @@ from degstab import (
     has_homomorphism,
     join,
     petersen,
-    regular_join_witness,
     threshold_constant,
 )
 from degstab import backend
 from degstab.gallery import SEQUENCE, gallery_graph
+from degstab.witness import scan_seed
 
 
 @contextmanager
@@ -119,7 +119,7 @@ def test_criterion_06_regular_witness_identity():
     with criterion(6, "regular witnesses meet their threshold ratio exactly", 2.0):
         for r in (3, 4, 5):
             for g in range(1, 6):
-                w = regular_join_witness(r, g)
+                w = scan_seed("cycle-join", g, r)
                 profile = degree_profile(w)
                 assert profile.regular, (r, g)
                 assert profile.min_degree == cycle_join_threshold(r, g) * w.order, (r, g)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from degstab import Graph, balanced_blow_up, complete, cycle, empty_graph, petersen
 from degstab.codecs import FORMATS, decode, encode
 from degstab.errors import InvalidParameterError, ParseError, UnsupportedError
-from degstab.witness import witness_for_gallery_index
+from degstab.witness import scan_seed
 from tests import oracles
 
 
@@ -124,7 +124,7 @@ class TestGraph6Reference:
                     assert _outcome(lambda t: decode(t, "graph6"), case) == expected, case
 
     def test_blow_up_of_order_2000_round_trips(self):
-        g = balanced_blow_up(witness_for_gallery_index(4, 5), 2000)
+        g = balanced_blow_up(scan_seed("gallery-join", 5, 4), 2000)
         text = encode(g, "graph6")
         assert text == oracles.graph6_by_chunks(g)
         assert decode(text, "graph6") == g
@@ -133,7 +133,7 @@ class TestGraph6Reference:
         # The triangle is encoded a few thousand bits at a time, so the peak
         # is the output held as bytes and then as text, about two bytes per
         # output byte; one string of the whole triangle would be six.
-        g = balanced_blow_up(witness_for_gallery_index(4, 5), 2000)
+        g = balanced_blow_up(scan_seed("gallery-join", 5, 4), 2000)
         tracemalloc.start()
         try:
             text = encode(g, "graph6")

@@ -21,7 +21,7 @@ from degstab import (
     petersen,
     wheel,
 )
-from degstab.classify import classify
+from degstab.classify import classify, scan_target
 from degstab.errors import InvalidParameterError
 from degstab.gallery import sequence_graph
 from degstab.hom import cliques_of_size, find_coloring, is_a_locally_bipartite
@@ -37,9 +37,8 @@ from degstab.verify import (
 from degstab.witness import (
     certify,
     edit_lower_bound,
-    odd_cycle_witness,
     scaled_gallery_weighting,
-    witness_for_gallery_index,
+    scan_seed,
 )
 from tests import oracles
 
@@ -110,6 +109,23 @@ class TestGraphValue:
             with pytest.raises(InvalidParameterError):
                 Graph.from_edges(order, edges)
 
+    @pytest.mark.parametrize("vertex", [True, 1.0])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g, v: g.degree(v),
+            lambda g, v: g.neighbors(v),
+            lambda g, v: g.has_edge(0, v),
+            lambda g, v: g.has_edge(v, 0),
+            lambda g, v: g.induced([0, v]),
+            lambda g, v: g.induced([1, v]),
+        ],
+        ids=["degree", "neighbors", "has_edge.v", "has_edge.u", "induced", "induced.equal"],
+    )
+    def test_vertex_must_be_an_int(self, query, vertex):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            query(complete(3), vertex)
+
     @pytest.mark.parametrize("order", [1, 64, 65])
     def test_out_of_range_bit_rejected(self, order):
         for bit in (order, order + 1, 2 * order + 7):
@@ -173,7 +189,7 @@ class TestConstructorAgainstOracle:
     @pytest.mark.parametrize("n", [60, 200])
     def test_blow_up_mutants(self, r, n):
         for j in range(1, 13):
-            g = balanced_blow_up(witness_for_gallery_index(r, j), n)
+            g = balanced_blow_up(scan_seed("gallery-join", j, r), n)
             adj = g.adj
             _agrees_with_oracle(n, adj)
             starts = [v for v in range(n) if v == 0 or adj[v] != adj[v - 1]]
@@ -214,7 +230,7 @@ class TestConstructorAgainstOracle:
         # the mirror flip the graph is valid, without it the one asymmetric
         # pair is named.
         for j in range(1, 13):
-            adj = balanced_blow_up(witness_for_gallery_index(r, j), n).adj
+            adj = balanced_blow_up(scan_seed("gallery-join", j, r), n).adj
             starts = [v for v in range(n) if v == 0 or adj[v] != adj[v - 1]]
             runs = list(zip(starts, starts[1:] + [n]))
             rng = random.Random(f"cut-{r}-{j}-{n}")
@@ -535,10 +551,12 @@ INTEGER_PARAMETERS = {
     "scaled_weighting": (lambda scale: scaled_gallery_weighting("H2", scale), "scale", 1),
     "edit_bound.base_order": (lambda base_order: edit_lower_bound(base_order, 10), "base_order", 1),
     "edit_bound.n": (lambda n: edit_lower_bound(3, n), "n", 3),
-    "odd_cycle_witness": (lambda n: odd_cycle_witness(2, n), "n", 5),
     "certify": (lambda n: certify(complete(4), classify(complete(4)), n), "n", 8),
     "sequence_graph": (sequence_graph, "index", 1),
-    "witness_for_gallery_index": (lambda index: witness_for_gallery_index(3, index), "index", 1),
+    "scan_target.index": (lambda index: scan_target("cycle-join", index, 3), "index", 1),
+    "scan_target.r": (lambda r: scan_target("gallery-join", 1, r), "r", 3),
+    "scan_seed.index": (lambda index: scan_seed("gallery-join", index, 3), "index", 1),
+    "scan_seed.r": (lambda r: scan_seed("cycle-join", 1, r), "r", 2),
 }
 
 

@@ -66,6 +66,12 @@ class TestHomomorphism:
         assert petersen().adj in reduced and cycle(5).adj in reduced
         assert len(reduced) == len(set(reduced))
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_non_integer_images_are_invalid(self, bad):
+        # False, not a TypeError; a bool equal to a vertex is no vertex.
+        assert HomWitness((0, 1, 2)).is_valid(complete(3), complete(4))
+        assert not HomWitness((0, bad, 2)).is_valid(complete(3), complete(4))
+
     def test_c7_into_c5(self):
         # derived by full enumeration before trusting the solver
         assert oracles.hom_exists(cycle(7), cycle(5)) is True

@@ -19,8 +19,8 @@ import pytest
 from degstab import gallery
 from degstab.classify import CONSTANT_TABLE, classify, scan_target
 from degstab.codecs import decode
-from degstab.graphs import complete, cycle, join, petersen, wheel
-from degstab.witness import odd_cycle_witness, regular_join_witness, witness_for_gallery_index
+from degstab.graphs import balanced_blow_up, complete, cycle, join, petersen, wheel
+from degstab.witness import scan_seed
 
 from . import oracles
 
@@ -188,19 +188,20 @@ def digest(g):
 
 @pytest.mark.parametrize("r,j", sorted(GALLERY_SEEDS))
 def test_gallery_seed_bytes(r, j):
-    assert digest(witness_for_gallery_index(r, j)) == GALLERY_SEEDS[r, j]
+    assert digest(scan_seed("gallery-join", j, r)) == GALLERY_SEEDS[r, j]
 
 
 @pytest.mark.parametrize("r,g", sorted(CYCLE_JOIN_SEEDS))
 def test_cycle_join_seed_bytes(r, g):
-    assert digest(regular_join_witness(r, g)) == CYCLE_JOIN_SEEDS[r, g]
+    assert digest(scan_seed("cycle-join", g, r)) == CYCLE_JOIN_SEEDS[r, g]
 
 
 @pytest.mark.parametrize("g", sorted(ODD_CYCLE_SEEDS))
 def test_odd_cycle_seed_bytes(g):
     # witness_base's odd-cycle seed is the scan target itself.
     assert oracles.graph6(scan_target("odd-cycle", g, 2)) == ODD_CYCLE_SEEDS[g]
-    assert oracles.graph6(odd_cycle_witness(g, 2 * g + 1)) == ODD_CYCLE_SEEDS[g]
+    seed = balanced_blow_up(scan_seed("odd-cycle", g, 2), 2 * g + 1)
+    assert oracles.graph6(seed) == ODD_CYCLE_SEEDS[g]
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))

@@ -93,6 +93,25 @@ class TestCorpus:
         with pytest.raises(InvalidParameterError):
             CorpusSpec.random(10, 5, 1.5, 0)
 
+    @pytest.mark.parametrize(
+        "p,seed,name",
+        [
+            (True, 1, "p"),
+            ("0.5", 1, "p"),
+            (None, 1, "p"),
+            (0.5, True, "seed"),
+            (0.5, 1.5, "seed"),
+            (0.5, "1", "seed"),
+        ],
+    )
+    def test_random_types(self, p, seed, name):
+        with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
+            CorpusSpec.random(3, 4, p, seed)
+
+    def test_random_accepts_int_probability_and_negative_seed(self):
+        assert CorpusSpec.random(3, 4, 1, -5).label() == "random:3,4,1,-5"
+        assert len(list(CorpusSpec.random(3, 4, 0.5, -1).graphs())) == 3
+
 
 class TestEditOracle:
     def test_c5_doubled_matches_counting_bound(self):
@@ -223,7 +242,7 @@ class TestProperties:
 
     def test_ratio_check_can_fail(self, monkeypatch):
         # Blow-ups of C5 have ratio 2/5, below every threshold at r = 3.
-        monkeypatch.setattr(verify, "witness_for_gallery_index", lambda r, j: cycle(5))
+        monkeypatch.setattr(verify, "scan_seed", lambda kind, j, r: cycle(5))
         report = check_properties(3)
         assert report.checked == 23
         assert [v.detail for v in report.violations] == [

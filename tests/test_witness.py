@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,18 +18,15 @@ from degstab import (
     degree_profile,
     degree_threshold,
     edit_lower_bound,
-    gallery_join_witness,
     join,
-    odd_cycle_witness,
     petersen,
-    regular_join_witness,
     scaled_gallery_weighting,
-    witness_for_gallery_index,
+    scan_seed,
 )
 from degstab import witness
 from degstab.classify import scan_target
 from degstab.errors import InvalidParameterError
-from degstab.gallery import gallery_graph
+from degstab.gallery import SEQUENCE, WEIGHTED_TAGS, gallery_graph
 from degstab.verify import EDIT_ORACLE_BUDGET, brute_min_edits_to_k_partite
 from degstab.witness import witness_base
 from tests.test_classify import only_cycle_joins
@@ -36,35 +34,38 @@ from tests.test_classify import only_cycle_joins
 
 class TestOddCycleWitness:
     def test_examples(self):
-        g = odd_cycle_witness(2, 10)
+        g = balanced_blow_up(scan_seed("odd-cycle", 2, 2), 10)
         assert degree_profile(g) == (4, 4, True)
-        assert degree_profile(odd_cycle_witness(2, 11)).min_degree == 4
-        assert degree_profile(odd_cycle_witness(3, 21)) == (6, 6, True)
+        g = balanced_blow_up(scan_seed("odd-cycle", 2, 2), 11)
+        assert degree_profile(g).min_degree == 4
+        g = balanced_blow_up(scan_seed("odd-cycle", 3, 2), 21)
+        assert degree_profile(g) == (6, 6, True)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            odd_cycle_witness(2, 4)
+            balanced_blow_up(scan_seed("odd-cycle", 2, 2), 4)
         with pytest.raises(InvalidParameterError):
-            odd_cycle_witness(0, 10)
+            scan_seed("odd-cycle", 0, 2)
 
     def test_is_the_cycle_join_family_at_r_2(self):
         for g in range(1, 9):
             for n in (2 * g + 1, 2 * g + 2, 60):
-                assert odd_cycle_witness(g, n) == balanced_blow_up(cycle(2 * g + 1), n)
+                seed = scan_seed("odd-cycle", g, 2)
+                assert balanced_blow_up(seed, n) == balanced_blow_up(cycle(2 * g + 1), n)
 
 
 class TestRegularJoinWitness:
     def test_small_cases(self):
-        g = regular_join_witness(3, 2)
+        g = scan_seed("cycle-join", 2, 3)
         assert (g.order,) + tuple(degree_profile(g)) == (8, 5, 5, True)
-        assert regular_join_witness(4, 1) == complete(5)
-        g = regular_join_witness(3, 3)
+        assert scan_seed("cycle-join", 1, 4) == complete(5)
+        g = scan_seed("cycle-join", 3, 3)
         assert (g.order,) + tuple(degree_profile(g)) == (12, 7, 7, True)
 
     def test_threshold_identity_grid(self):
         for r in (3, 4, 5):
             for g in range(1, 6):
-                w = regular_join_witness(r, g)
+                w = scan_seed("cycle-join", g, r)
                 profile = degree_profile(w)
                 assert profile.regular
                 assert w.order == (2 * g - 1) * (r - 1) + 2
@@ -73,26 +74,26 @@ class TestRegularJoinWitness:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            regular_join_witness(1, 2)
+            scan_seed("cycle-join", 2, 1)
         with pytest.raises(InvalidParameterError):
-            regular_join_witness(3, 0)
+            scan_seed("cycle-join", 0, 3)
 
     def test_empty_clique_gives_the_odd_cycle(self):
         for g in range(1, 9):
-            seed = regular_join_witness(2, g)
+            seed = scan_seed("cycle-join", g, 2)
             assert seed == cycle(2 * g + 1)
             assert Fraction(2, seed.order) == cycle_join_threshold(2, g)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: regular_join_witness(3.0, 2),
-            lambda: regular_join_witness(3, 2.0),
-            lambda: regular_join_witness(3, True),
-            lambda: gallery_join_witness(3.0, "H2"),
-            lambda: witness_for_gallery_index(3, 1.0),
-            lambda: witness_for_gallery_index(3, True),
-            lambda: witness_for_gallery_index(3.0, 2),
+            lambda: scan_seed("cycle-join", 2, 3.0),
+            lambda: scan_seed("cycle-join", 2.0, 3),
+            lambda: scan_seed("cycle-join", True, 3),
+            lambda: scan_seed("gallery-join", 8, 3.0),
+            lambda: scan_seed("gallery-join", 1.0, 3),
+            lambda: scan_seed("gallery-join", True, 3),
+            lambda: scan_seed("gallery-join", 2, 3.0),
         ],
     )
     def test_non_integer_parameters_rejected(self, call):
@@ -102,13 +103,13 @@ class TestRegularJoinWitness:
 
 class TestGalleryJoinWitness:
     def test_c7bar_ratio(self):
-        g = gallery_join_witness(3, "C7bar")
+        g = scan_seed("gallery-join", 4, 3)
         assert g == gallery_graph("C7bar")
         profile = degree_profile(g)
         assert Fraction(profile.min_degree, g.order) == Fraction(4, 7)
 
     def test_h2_at_r4(self):
-        g = gallery_join_witness(4, "H2")
+        g = scan_seed("gallery-join", 8, 4)
         profile = degree_profile(g)
         assert (g.order, profile.min_degree) == (16, 11)
         # closed form: 1 - 1/(r - 3 + 1/(1 - d/m)) at r=4, d/m = 6/11
@@ -117,15 +118,15 @@ class TestGalleryJoinWitness:
     def test_r3_returns_the_weighted_blow_up(self):
         from degstab import gallery_weighting
 
-        # Any name canonical_tag accepts, as in gallery_weighting.
-        for name in ("H2plus", "H2", "T0", "H1plusplus", "h2plus", "F6", " H2 "):
-            assert gallery_join_witness(3, name) == blow_up(gallery_weighting(name))
+        for tag in WEIGHTED_TAGS:
+            seed = scan_seed("gallery-join", SEQUENCE.index(tag) + 1, 3)
+            assert seed == blow_up(gallery_weighting(tag))
 
     def test_ratio_grid(self):
         expected_index = {"C7bar": 3, "H2plus": 5, "H2": 7, "T0": 9, "H1plusplus": 11}
         for r in (3, 4, 5):
             for tag, index in expected_index.items():
-                w = gallery_join_witness(r, tag)
+                w = scan_seed("gallery-join", SEQUENCE.index(tag) + 1, r)
                 profile = degree_profile(w)
                 assert Fraction(profile.min_degree, w.order) == degree_threshold(r, index)
 
@@ -134,40 +135,40 @@ class TestGalleryJoinWitness:
         for r in range(3, 8):
             base = join(complete(r - 3), gallery_graph("C7bar"))
             weights = (3,) * (r - 3) + (1,) * 7
-            assert gallery_join_witness(r, "C7bar") == blow_up(Weighting(base, weights))
+            assert scan_seed("gallery-join", 4, r) == blow_up(Weighting(base, weights))
 
     def test_validation(self):
-        for name in ("W5", "w15", "K4", "F1", "Petersen"):
-            with pytest.raises(InvalidParameterError, match="no join witness"):
-                gallery_join_witness(3, name)
-        with pytest.raises(InvalidParameterError):
-            gallery_join_witness(2, "H2")
+        # A gallery join needs r >= 3, and a wheel's cycle-join seed, which
+        # would accept r = 2, does not lift that.
+        for j in range(1, 13):
+            with pytest.raises(InvalidParameterError, match="r must be at least 3"):
+                scan_seed("gallery-join", j, 2)
 
 
 class TestWitnessForIndex:
     def test_full_identity_sweep(self):
         for r in (3, 4, 5):
             for index in range(2, 13):
-                seed = witness_for_gallery_index(r, index)
+                seed = scan_seed("gallery-join", index, r)
                 profile = degree_profile(seed)
                 assert Fraction(profile.min_degree, seed.order) == degree_threshold(
                     r, index - 1
                 )
 
     def test_index_one_degenerates_to_clique(self):
-        assert witness_for_gallery_index(3, 1) == complete(4)
+        assert scan_seed("gallery-join", 1, 3) == complete(4)
         with pytest.raises(InvalidParameterError):
-            witness_for_gallery_index(3, 13)
+            scan_seed("gallery-join", 13, 3)
         # The cycle-join seed of a wheel accepts r = 2; a gallery index does not.
         with pytest.raises(InvalidParameterError):
-            witness_for_gallery_index(2, 1)
+            scan_seed("gallery-join", 1, 2)
 
 
 class TestMemos:
     """Scan targets and seeds are built once; what the memo returns is what
     a fresh build returns."""
 
-    MEMOS = (scan_target, regular_join_witness, witness_for_gallery_index)
+    MEMOS = (scan_target, scan_seed)
 
     def test_memos_are_bounded(self):
         for memo in self.MEMOS:
@@ -183,23 +184,51 @@ class TestMemos:
 
     def test_seeds_equal_fresh_builds(self):
         for r in range(3, 9):
-            for g in range(1, 9):
-                seed = regular_join_witness(r, g)
-                assert seed == regular_join_witness.__wrapped__(r, g)
-                assert regular_join_witness(r, g) is seed
-            for j in range(1, 13):
-                seed = witness_for_gallery_index(r, j)
-                assert seed == witness_for_gallery_index.__wrapped__(r, j)
-                assert witness_for_gallery_index(r, j) is seed
+            for kind, last in (("odd-cycle", 8), ("gallery-join", 12), ("cycle-join", 8)):
+                for j in range(1, last + 1):
+                    seed = scan_seed(kind, j, r)
+                    assert seed == scan_seed.__wrapped__(kind, j, r)
+                    assert scan_seed(kind, j, r) is seed
 
     def test_invalid_arguments_still_raise(self):
         for _ in range(2):
             with pytest.raises(InvalidParameterError):
                 scan_target("wheel-join", 1, 3)
             with pytest.raises(InvalidParameterError):
-                regular_join_witness(1, 1)
+                scan_seed("cycle-join", 1, 1)
             with pytest.raises(InvalidParameterError):
-                witness_for_gallery_index(3, 13)
+                scan_seed("gallery-join", 13, 3)
+
+
+# Triples that name no scan step: a bad kind, index or r, the others valid.
+BAD_STEPS = (
+    [(kind, 1, 3) for kind in ("wheel-join", "", "Gallery-join")]
+    + [
+        (kind, index, 3)
+        for kind in ("gallery-join", "cycle-join", "odd-cycle")
+        for index in (0, True, 2.0)
+    ]
+    + [("gallery-join", 13, 3)]
+    + [(kind, 1, r) for kind in ("gallery-join", "cycle-join", "odd-cycle") for r in (1, True, 3.0)]
+    + [("gallery-join", j, 2) for j in range(1, 13)]
+)
+
+
+class TestScanSeed:
+    @pytest.mark.parametrize("kind,index,r", BAD_STEPS)
+    def test_rejects_what_scan_target_rejects(self, kind, index, r):
+        with pytest.raises(InvalidParameterError) as target_error:
+            scan_target(kind, index, r)
+        with pytest.raises(InvalidParameterError) as seed_error:
+            scan_seed(kind, index, r)
+        assert str(seed_error.value) == str(target_error.value)
+
+    def test_wheels_take_the_cycle_join_seed(self):
+        for r in range(3, 7):
+            for j, tag in enumerate(SEQUENCE, start=1):
+                if tag == "K4" or tag.startswith("W"):
+                    g = (gallery_graph(tag).order - 2) // 2  # rim 2g + 1, plus the hub
+                    assert scan_seed("gallery-join", j, r) is scan_seed("cycle-join", g, r)
 
 
 class TestScaledWeighting:
@@ -236,8 +265,8 @@ class TestEditLowerBound:
         # out: at r = 3 the j = 6 seed needs 0 edits against a bound of 1.
         # Their strict seeds, blow-ups of the whole member, will cover them.
         for r in (3, 4):
-            seeds = {j: witness_for_gallery_index(r, j) for j in range(1, 13)}
-            seeds.update({("g", g): regular_join_witness(r, g) for g in range(1, 7)})
+            seeds = {j: scan_seed("gallery-join", j, r) for j in range(1, 13)}
+            seeds.update({("g", g): scan_seed("cycle-join", g, r) for g in range(1, 7)})
             colourable = {j for j, s in seeds.items() if chromatic_number(s) <= r}
             assert colourable == {6, 10, 12}, r
             for key, seed in seeds.items():
@@ -288,6 +317,17 @@ class TestCertify:
         with pytest.raises(InvalidParameterError):
             certify(complete(4), classify(complete(3)), 40)
 
+    def test_float_certificate_is_a_mismatch(self):
+        h = complete(4)
+        result = classify(h)
+        first = result.certificate[0]
+        floats = HomWitness(tuple(float(x) for x in first.witness.mapping))
+        certificate = (replace(first, witness=floats),) + result.certificate[1:]
+        forged = replace(result, certificate=certificate)
+        assert not forged.validate(h)
+        with pytest.raises(InvalidParameterError, match="result does not match"):
+            certify(h, forged, 60)
+
     def test_n_too_small_rejected(self):
         h = complete(4)
         result = classify(h)
@@ -328,7 +368,7 @@ class TestEditBoundCheck:
     def test_fails_on_a_colorable_seed(self, monkeypatch):
         # The stored H2plus weighting puts weight 0 on two vertices, and the
         # index-6 seed it blows up to is 3-colorable at r = 3.
-        seed = witness_for_gallery_index(3, 6)
+        seed = scan_seed("gallery-join", 6, 3)
         assert chromatic_number(seed) == 3
         base = join(complete(0), gallery_graph("H2plus"))
         monkeypatch.setattr(witness, "witness_base", lambda result: (seed, base))
@@ -355,7 +395,7 @@ class TestWitnessBase:
         result = classify(complete(4))
         seed, base = witness_base(result)
         assert base == join(complete(0), gallery_graph("W5"))
-        assert seed == regular_join_witness(3, 2)
+        assert seed == scan_seed("cycle-join", 2, 3)
 
     def test_seed_is_blow_up_of_base(self):
         # every seed maps homomorphically onto its base and back-contains it
@@ -368,12 +408,10 @@ class TestWitnessBase:
             assert has_homomorphism(h, base) is None
         # Every seed that witness_base can return, at every scan index.
         for r in (3, 4, 5):
-            for j in range(1, 13):
-                seed = witness_for_gallery_index(r, j)
-                assert has_homomorphism(seed, scan_target("gallery-join", j, r)) is not None
-            for g in range(1, 7):
-                seed = regular_join_witness(r, g)
-                assert has_homomorphism(seed, scan_target("cycle-join", g, r)) is not None
+            for kind, last in (("gallery-join", 12), ("cycle-join", 6)):
+                for j in range(1, last + 1):
+                    seed = scan_seed(kind, j, r)
+                    assert has_homomorphism(seed, scan_target(kind, j, r)) is not None
 
     def test_interval_branch(self, monkeypatch):
         # No known pattern reaches the interval branch; walking the
@@ -383,7 +421,7 @@ class TestWitnessBase:
         result = classify(h)
         assert result.describe() == "5/8..8/15 (0.625..0.533333) [interval branch, g=2]"
         seed, base = witness_base(result)
-        assert seed == regular_join_witness(3, 2)
+        assert seed == scan_seed("cycle-join", 2, 3)
         assert base == scan_target("cycle-join", 2, 3)
         report = certify(h, result, 60)
         assert [(c.name, c.passed, c.detail) for c in report.checks] == [
