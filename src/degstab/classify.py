@@ -23,11 +23,10 @@ display code.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codecs import parse_json
+from .codecs import dump_json, parse_json
 from .errors import (
     InvalidParameterError,
     ParseError,
@@ -233,7 +232,7 @@ class DeltaResult:
             raise ParseError(f"malformed threshold result: {e}") from None
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return dump_json(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "DeltaResult":

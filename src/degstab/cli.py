@@ -28,17 +28,22 @@ from .verify import (
 )
 from .witness import certify, witness_base
 
-_FORMAT_FLAGS = {"g6": "graph6", "edges": "edge-list", "json": "json"}
-_EXTENSIONS = {".g6": "graph6", ".edges": "edge-list", ".json": "json"}
+# Each verify suite: its check, called with the corpus and the integer
+# PARAM of "SUITE:PARAM", and PARAM's default (None where it is required).
+_SUITES = {
+    "odd-girth": (check_hom_odd_girth, 3),
+    "haggkvist": (check_haggkvist, 2),
+    "properties": (lambda corpus, r: check_properties(r), None),
+    "local-bip": (lambda corpus, a: check_locally_bipartite_claims(a, corpus), None),
+}
 
 
 def _detect_format(path: str, override: str | None) -> str:
-    if override is not None:
-        return _FORMAT_FLAGS[override]
-    fmt = _EXTENSIONS.get(Path(path).suffix.lower())
+    # The short names are the file suffixes.
+    fmt = codecs.SHORT_NAMES.get(override or Path(path).suffix.lower()[1:])
     if fmt is None:
         raise DegstabError(
-            f"cannot infer format from {path!r}; use --format g6|edges|json"
+            f"cannot infer format from {path!r}; use --format {'|'.join(codecs.SHORT_NAMES)}"
         )
     return fmt
 
@@ -70,7 +75,7 @@ def _emit_graph(g: Graph, fmt: str, out: str | None) -> None:
 
 def _add_input(parser: argparse.ArgumentParser, name: str = "file") -> None:
     parser.add_argument(name)
-    parser.add_argument("--format", choices=sorted(_FORMAT_FLAGS), default=None)
+    parser.add_argument("--format", choices=sorted(codecs.SHORT_NAMES), default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="print a named gallery graph")
     p.add_argument("id", metavar="ID", help=f"one of {', '.join(TAGS)} or F1..F12")
-    p.add_argument("--format", choices=sorted(_FORMAT_FLAGS), default="g6")
+    p.add_argument("--format", choices=sorted(codecs.SHORT_NAMES), default="g6")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("hom", help="search for a homomorphism pattern -> target")
     p.add_argument("pattern")
     p.add_argument("target")
-    p.add_argument("--format", choices=sorted(_FORMAT_FLAGS), default=None)
+    p.add_argument("--format", choices=sorted(codecs.SHORT_NAMES), default=None)
 
     p = sub.add_parser("chromatic", help="exact chromatic number")
     _add_input(p)
@@ -104,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--out-format", choices=sorted(_FORMAT_FLAGS), default="g6")
+    p.add_argument("--out-format", choices=sorted(codecs.SHORT_NAMES), default="g6")
 
     p = sub.add_parser("certify", help="check the witness family certifies the threshold")
     _add_input(p)
@@ -113,11 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite over a corpus")
     p.add_argument(
         "suite",
-        help="odd-girth | haggkvist | properties:R | local-bip:A",
+        metavar="SUITE[:PARAM]",
+        help="odd-girth[:G_MAX] | haggkvist[:G] | properties:R | local-bip:A;"
+        " G_MAX is 3 and G is 2 by default",
     )
     p.add_argument("--corpus", default=None, help="default exhaustive:5; properties takes none")
-    p.add_argument("--g-max", type=int, default=3, help="odd-girth suite bound")
-    p.add_argument("--g", type=int, default=2, help="haggkvist suite parameter")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force oracles")
@@ -131,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gallery(args) -> int:
     g = gallery_graph(args.id)
-    _emit_graph(g, _FORMAT_FLAGS[args.format], args.out)
+    _emit_graph(g, codecs.SHORT_NAMES[args.format], args.out)
     return 0
 
 
@@ -177,7 +182,7 @@ def _cmd_witness(args) -> int:
     result = classify(h)
     seed, _ = witness_base(result)
     member = balanced_blow_up(seed, args.n)
-    _emit_graph(member, _FORMAT_FLAGS[args.out_format], args.out)
+    _emit_graph(member, codecs.SHORT_NAMES[args.out_format], args.out)
     return 0
 
 
@@ -194,27 +199,17 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite, colon, param = args.suite.partition(":")
+    if suite not in _SUITES:
+        raise DegstabError(f"unknown suite {args.suite!r}")
+    check, default = _SUITES[suite]
     if suite == "properties" and args.corpus is not None:
         raise DegstabError(f"suite {args.suite!r} reads no corpus; drop --corpus")
+    try:
+        level = int(param) if colon or default is None else default
+    except ValueError:
+        raise DegstabError(f"suite {args.suite!r} needs an integer parameter") from None
     corpus = CorpusSpec.parse("exhaustive:5" if args.corpus is None else args.corpus)
-    if suite in ("properties", "local-bip"):
-        try:
-            level = int(param)
-        except ValueError:
-            raise DegstabError(f"suite {args.suite!r} needs an integer parameter") from None
-    option = {"odd-girth": "--g-max", "haggkvist": "--g"}.get(suite)
-    if option and colon:
-        raise DegstabError(f"suite {suite!r} takes no ':' parameter; use {option}")
-    if suite == "odd-girth":
-        report = check_hom_odd_girth(corpus, args.g_max)
-    elif suite == "haggkvist":
-        report = check_haggkvist(corpus, args.g)
-    elif suite == "properties":
-        report = check_properties(level)
-    elif suite == "local-bip":
-        report = check_locally_bipartite_claims(level, corpus)
-    else:
-        raise DegstabError(f"unknown suite {args.suite!r}")
+    report = check(corpus, level)
     if args.json:
         print(report.dumps())
     else:

@@ -17,7 +17,12 @@ parse errors carrying a byte offset.
 The edge-list format is a "n m" header line followed by m lines "u v" with
 0-indexed endpoints. JSON is {"order": n, "edges": [[u, v], ...]}. Both
 decoders refuse orders above graph6's bound as unsupported, so a short
-header cannot ask for an arbitrarily large graph.
+header cannot ask for an arbitrarily large graph. Output JSON, here and in
+the result and report types, is written by ``dump_json`` alone.
+
+``_CODECS`` is the one table of formats: each one's name, its short name
+(the CLI's ``--format`` value and the file suffix the CLI infers it from),
+its encoder and its decoder.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import re
 
 from .errors import InvalidParameterError, ParseError, UnsupportedError
 from .graphs import Graph, _is_int
-
-FORMATS = ("graph6", "edge-list", "json")
 
 _G6_MAX_ORDER = 258047
 _G6_HEADER = ">>graph6<<"
@@ -43,23 +46,18 @@ _G6_CHUNK_BITS = 24 * 2048
 
 
 def encode(g: Graph, fmt: str) -> str:
-    if fmt == "graph6":
-        return _encode_graph6(g)
-    if fmt == "edge-list":
-        return _encode_edge_list(g)
-    if fmt == "json":
-        return _encode_json(g)
-    raise InvalidParameterError(f"unknown format {fmt!r}")
+    return _codec(fmt)[1](g)
 
 
 def decode(text: str, fmt: str) -> Graph:
-    if fmt == "graph6":
-        return _decode_graph6(text)
-    if fmt == "edge-list":
-        return _decode_edge_list(text)
-    if fmt == "json":
-        return _decode_json(text)
-    raise InvalidParameterError(f"unknown format {fmt!r}")
+    return _codec(fmt)[2](text)
+
+
+def _codec(fmt: str):
+    try:
+        return _CODECS[fmt]
+    except (KeyError, TypeError):  # TypeError: fmt is unhashable
+        raise InvalidParameterError(f"unknown format {fmt!r}") from None
 
 
 def _encode_graph6(g: Graph) -> str:
@@ -122,6 +120,8 @@ def _decode_graph6(text: str) -> Graph:
         n = ord(body[0]) - 63
         pos = 1
     elif len(body) >= 2 and body[1] == "~":
+        # Any other second byte is the three-byte form, whose largest order,
+        # "~}~~", is 62 * 4096 + 4095 = _G6_MAX_ORDER: the one order check.
         raise UnsupportedError("graph6 eight-byte order header is not supported")
     else:
         if len(body) < 4:
@@ -131,8 +131,6 @@ def _decode_graph6(text: str) -> Graph:
             n = (n << 6) | (ord(ch) - 63)
         if n <= 62:
             raise ParseError("non-canonical graph6 order header", base)
-        if n > _G6_MAX_ORDER:
-            raise UnsupportedError(f"graph6 orders above {_G6_MAX_ORDER} are not supported")
         pos = 4
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
@@ -196,11 +194,13 @@ def _decode_edge_list(text: str) -> Graph:
 
 
 def _encode_json(g: Graph) -> str:
-    return json.dumps(
-        {"order": g.order, "edges": [list(e) for e in g.edges()]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return dump_json({"order": g.order, "edges": [list(e) for e in g.edges()]})
+
+
+def dump_json(value) -> str:
+    """value as compact JSON with sorted keys: the one form of every JSON
+    output, so equal values print byte-identical text."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def parse_json(text: str):
@@ -252,3 +252,14 @@ def _from_pairs(n: int, pairs) -> Graph:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))
+
+
+# Each format's short name, which is both its --format value on the command
+# line and its file suffix, then its encoder and its decoder.
+_CODECS = {
+    "graph6": ("g6", _encode_graph6, _decode_graph6),
+    "edge-list": ("edges", _encode_edge_list, _decode_edge_list),
+    "json": ("json", _encode_json, _decode_json),
+}
+FORMATS = tuple(_CODECS)
+SHORT_NAMES = {short: fmt for fmt, (short, _, _) in _CODECS.items()}

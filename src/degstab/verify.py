@@ -13,7 +13,6 @@ cases, never failures.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -67,23 +66,33 @@ class CorpusSpec:
     p: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Every construction passes here, so a spec that exists is valid.
+        if self.mode == "exhaustive":
+            _require("max_order", self.max_order, 0)
+            if self.max_order > EXHAUSTIVE_MAX_ORDER:
+                raise InvalidParameterError(
+                    f"exhaustive corpora support orders 0..{EXHAUSTIVE_MAX_ORDER}"
+                )
+        elif self.mode == "random":
+            _require("count", self.count, 0)
+            _require("order", self.order, 0)
+            p = self.p
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+                raise InvalidParameterError("edge probability p must be a number in [0, 1]")
+            if not _is_int(self.seed):
+                raise InvalidParameterError("seed must be an integer")
+            # A float, so that the label reads p as parse does.
+            object.__setattr__(self, "p", float(p))
+        else:
+            raise InvalidParameterError(f"unknown corpus mode {self.mode!r}")
+
     @classmethod
     def exhaustive(cls, max_order: int) -> "CorpusSpec":
-        _require("max_order", max_order, 0)
-        if max_order > EXHAUSTIVE_MAX_ORDER:
-            raise InvalidParameterError(
-                f"exhaustive corpora support orders 0..{EXHAUSTIVE_MAX_ORDER}"
-            )
         return cls(mode="exhaustive", max_order=max_order)
 
     @classmethod
     def random(cls, count: int, order: int, p: float, seed: int) -> "CorpusSpec":
-        _require("count", count, 0)
-        _require("order", order, 0)
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
-            raise InvalidParameterError("edge probability p must be a number in [0, 1]")
-        if not _is_int(seed):
-            raise InvalidParameterError("seed must be an integer")
         return cls(mode="random", count=count, order=order, p=p, seed=seed)
 
     @classmethod
@@ -123,7 +132,7 @@ class CorpusSpec:
                         if n < self.max_order:
                             grown.append(adj)
                 previous = grown
-        elif self.mode == "random":
+        else:
             rng = random.Random(self.seed)
             n = self.order
             pairs = [(i, j) for j in range(1, n) for i in range(j)]
@@ -134,8 +143,6 @@ class CorpusSpec:
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
                 yield Graph(n, tuple(adj))
-        else:
-            raise InvalidParameterError(f"unknown corpus mode {self.mode!r}")
 
     def __iter__(self) -> Iterator[Graph]:
         # So checks take a CorpusSpec and a plain list of graphs alike.
@@ -175,7 +182,7 @@ class VerificationReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return codecs.dump_json(self.to_json())
 
 
 def _sweep(suite: str, corpus, probe) -> VerificationReport:

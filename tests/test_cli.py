@@ -14,7 +14,7 @@ from degstab import (
     encode,
     petersen,
 )
-from degstab import verify
+from degstab import codecs, verify
 from degstab.cli import main
 from degstab.gallery import gallery_graph
 from degstab.witness import witness_base
@@ -44,6 +44,15 @@ class TestGallery:
         target = tmp_path / "w5.g6"
         assert main(["gallery", "W5", "--out", str(target)]) == 0
         assert decode(target.read_text(), "graph6").order == 6
+
+    @pytest.mark.parametrize("fmt", codecs.FORMATS)
+    def test_every_format_is_read_back_by_its_suffix(self, fmt, tmp_path, capsys):
+        short = {f: s for s, f in codecs.SHORT_NAMES.items()}[fmt]
+        target = tmp_path / f"w5.{short}"
+        assert main(["gallery", "W5", "--format", short, "--out", str(target)]) == 0
+        assert decode(target.read_text(), fmt) == gallery_graph("W5")
+        assert main(["chromatic", str(target)]) == 0
+        assert capsys.readouterr().out == "4\n"
 
     def test_unknown_id(self, capsys):
         assert main(["gallery", "F13"]) == 2
@@ -159,14 +168,14 @@ class TestWitnessAndCertify:
 
 class TestVerify:
     def test_odd_girth_suite(self, capsys):
-        assert main(["verify", "odd-girth", "--corpus", "exhaustive:4", "--g-max", "2"]) == 0
+        assert main(["verify", "odd-girth:2", "--corpus", "exhaustive:4"]) == 0
         out = capsys.readouterr()
         assert "PASS" in out.out
         assert "elapsed" in out.err
 
     def test_haggkvist_json(self, capsys):
         assert (
-            main(["verify", "haggkvist", "--corpus", "random:50,8,0.5,7", "--g", "2", "--json"])
+            main(["verify", "haggkvist:2", "--corpus", "random:50,8,0.5,7", "--json"])
             == 0
         )
         data = json.loads(capsys.readouterr().out)
@@ -214,15 +223,31 @@ class TestVerify:
         assert main(["verify", "odd-girth", "--corpus", "bogus:1"]) == 2
         assert main(["verify", "properties:x"]) == 2
 
-    def test_haggkvist_parameter_is_a_usage_error(self, capsys):
-        assert main(["verify", "haggkvist:3", "--corpus", "exhaustive:4"]) == 2
-        out = capsys.readouterr()
-        assert out.out == "" and "--g" in out.err
+    def test_haggkvist_takes_its_parameter_after_a_colon(self, capsys):
+        assert main(["verify", "haggkvist:3", "--corpus", "exhaustive:4"]) == 0
+        assert capsys.readouterr().out.startswith("suite haggkvist(g=3): checked 76\n")
 
-    def test_odd_girth_parameter_is_a_usage_error(self, capsys):
-        assert main(["verify", "odd-girth:9", "--corpus", "exhaustive:4"]) == 2
-        out = capsys.readouterr()
-        assert out.out == "" and "--g-max" in out.err
+    def test_odd_girth_takes_its_parameter_after_a_colon(self, capsys):
+        assert main(["verify", "odd-girth:2", "--corpus", "exhaustive:4"]) == 0
+        assert capsys.readouterr().out.startswith("suite odd-girth(g_max=2): checked 76\n")
+
+    def test_parameters_default_as_documented(self, capsys):
+        assert main(["verify", "odd-girth", "--corpus", "exhaustive:3"]) == 0
+        assert main(["verify", "haggkvist", "--corpus", "exhaustive:3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "suite odd-girth(g_max=3): checked 12"
+        assert out[2] == "suite haggkvist(g=2): checked 12"
+
+    @pytest.mark.parametrize("args", [["odd-girth", "--g-max", "3"], ["haggkvist", "--g", "2"]])
+    def test_parameter_flags_are_gone(self, args, capsys):
+        assert main(["verify", *args]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("suite", ["odd-girth:", "haggkvist:x", "local-bip", "properties"])
+    def test_bad_or_missing_parameter(self, suite, capsys):
+        assert main(["verify", suite]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: suite {suite!r} needs an integer parameter\n"
 
 
 class TestOracle:

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -54,6 +55,14 @@ class TestGraph6:
             encode(empty_graph(258048), "graph6")
         with pytest.raises(UnsupportedError):
             decode("~~??????", "graph6")
+
+    def test_three_byte_header_stops_at_the_bound(self):
+        # The largest three-byte header is the bound itself; a second "~"
+        # is the eight-byte form, whatever follows.
+        with pytest.raises(ParseError, match="graph6 body too short"):
+            decode("~}~~", "graph6")
+        with pytest.raises(UnsupportedError):
+            decode("~~~~", "graph6")
 
     def test_malformed_inputs(self):
         with pytest.raises(ParseError):
@@ -251,3 +260,11 @@ class TestRoundTrips:
             encode(complete(3), "dot")
         with pytest.raises(InvalidParameterError):
             decode("", "dot")
+
+    @pytest.mark.parametrize("fmt", [["x"], 5, None])
+    def test_format_that_is_not_a_name(self, fmt):
+        message = f"unknown format {fmt!r}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            encode(complete(3), fmt)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            decode("Bw", fmt)

@@ -80,6 +80,29 @@ class TestCorpus:
             spec = CorpusSpec.parse(text)
             assert spec.label() == text
 
+    @pytest.mark.parametrize(
+        "spec",
+        [CorpusSpec.random(3, 4, 1, 5), CorpusSpec.random(3, 4, 0, -1), CorpusSpec.exhaustive(2)],
+    )
+    def test_label_round_trips(self, spec):
+        assert CorpusSpec.parse(spec.label()) == spec
+        assert CorpusSpec.parse(spec.label()).label() == spec.label()
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (dict(mode="exhaustive", max_order=9), "orders 0..7"),
+            (dict(mode="exhaustive", max_order=-1), "max_order must be at least 0"),
+            (dict(mode="random", count=-3, order=4, p=0.5), "count must be at least 0"),
+            (dict(mode="random", count=3, order=4, p=2.0), "edge probability p"),
+            (dict(mode="random", count=3, order=4, p=0.5, seed=1.0), "seed must be an integer"),
+            (dict(mode="bogus"), "unknown corpus mode 'bogus'"),
+        ],
+    )
+    def test_direct_construction_is_checked(self, fields, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            CorpusSpec(**fields)
+
     def test_parse_errors(self):
         for text in ("exhaustive", "exhaustive:x", "random:1,2", "weird:3"):
             with pytest.raises(InvalidParameterError):
@@ -109,7 +132,7 @@ class TestCorpus:
             CorpusSpec.random(3, 4, p, seed)
 
     def test_random_accepts_int_probability_and_negative_seed(self):
-        assert CorpusSpec.random(3, 4, 1, -5).label() == "random:3,4,1,-5"
+        assert CorpusSpec.random(3, 4, 1, -5).label() == "random:3,4,1.0,-5"
         assert len(list(CorpusSpec.random(3, 4, 0.5, -1).graphs())) == 3
 
 
