@@ -9,7 +9,8 @@ differs.
 
 ``_kernels`` applies that rule per call, to every graph argument, and
 ``hom_search``, ``color_search`` and ``odd_girth`` pass their arguments
-unchanged to the kernel of the same name in the set it returns.
+to the kernel of the same name in the set it returns, unchanged but for
+the first two, which pass each graph as a tuple.
 
 ``hom_search`` first tries one exact refutation above both kernel sets: a
 homomorphism maps a clique injectively onto a clique, so when a greedy
@@ -43,6 +44,25 @@ size and the target's other facts. A reduced adjacency is its own
 reduction, so a twin-free graph has one record. A call's result and node
 count depend on its arguments only, never on what the memo holds.
 
+The last ``_RECENT_SIZE`` (16) answers of ``color_search`` and of the
+``hom_search`` calls that get past the clique bound are kept in one memo,
+``_recent``. Its key is the kernel (so the kernel set ``_kernels`` picks),
+the tuple of each graph argument, and ``k`` or the target record's
+``minima``; the entry asked for least recently goes first. ``certify``
+asks again what ``classify`` and ``validate`` have just answered (the
+failing scan step, the refutation of r-colourability), and a seed shared
+by many patterns is coloured again for each: on the benchmark's
+certify-random pass, 238 of 470 calls are answered from the memo. Sixteen
+is small next to a pass, so no pass is served from the one before (the
+nearest repeat across delta-structured passes is 123 calls away). A
+kernel's answer is immutable, so a hit returns the very answer the kernel
+gave, node count included: the count describes the answer, not the work
+done for this call. Every call still passes through ``hom_search`` and
+``color_search``, and a miss gives the kernel the caller's own tuples.
+The memo is typed: ``k = 3.0`` is asked of the kernel, not answered from
+``k = 3``'s entry.
+``odd_girth`` is not kept: its calls are many and cheap.
+
 Set ``DEGSTAB_BACKEND=pure`` in the environment (before import) to force
 the pure kernels, e.g. for benchmarking.
 """
@@ -69,6 +89,10 @@ _FAST_MAX_ORDER = 64
 # workloads' hit rates are in BENCH_prepared.json.
 _PREPARED_MEMO_SIZE = 512
 
+# Kernel answers kept, least recently asked for evicted first; see the
+# module docstring.
+_RECENT_SIZE = 16
+
 
 def backend_name() -> str:
     """Name of the kernel set in use: "compiled" or "pure"."""
@@ -90,15 +114,23 @@ def hom_search(p_adj, t_adj):
     is deliberately absent: ``verify.check_hom_odd_girth`` tests exactly
     that lemma through this search, and would then only check itself.
     """
-    target = prepared(tuple(t_adj))
-    k = prepared(tuple(p_adj)).greedy
+    p, t = tuple(p_adj), tuple(t_adj)
+    target = prepared(t)
+    k = prepared(p).greedy
     if k > target.greedy and k > target.omega:
         return None, 0
-    return _kernels(p_adj, t_adj).hom_search(p_adj, t_adj, target.minima)
+    return _recent(_kernels(p_adj, t_adj).hom_search, p, t, target.minima)
 
 
 def color_search(adj, k):
-    return _kernels(adj).color_search(adj, k)
+    return _recent(_kernels(adj).color_search, tuple(adj), k)
+
+
+@functools.lru_cache(maxsize=_RECENT_SIZE, typed=True)
+def _recent(kernel, *args):
+    """``kernel(*args)``, answered again from the last ``_RECENT_SIZE``
+    distinct calls."""
+    return kernel(*args)
 
 
 def odd_girth(adj):

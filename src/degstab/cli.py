@@ -2,13 +2,14 @@
 
 Batch-oriented and deterministic: identical inputs and flags produce
 byte-identical stdout (timings go to stderr). Exit codes: 0 success or
-pass, 1 verification violation or failed certification, 2 usage error,
-3 resource budget exceeded.
+pass, 1 verification violation, failed certification or stdout closed
+before the output was written, 2 usage error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -248,7 +249,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flushed here, so that a closed stdout is caught below and not
+        # reported at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: what is left in the buffer goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ResourceBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator
 
@@ -47,6 +47,9 @@ __all__ = [
 EXHAUSTIVE_MAX_ORDER = 7
 EDIT_ORACLE_BUDGET = 10**8
 
+# The fields of a CorpusSpec that each mode reads.
+_CORPUS_FIELDS = {"exhaustive": ("max_order",), "random": ("count", "order", "p", "seed")}
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -67,7 +70,15 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Every construction passes here, so a spec that exists is valid.
+        # Every construction passes here, so a spec that exists is valid,
+        # and one label names one spec: a field the mode does not read
+        # keeps its default.
+        reads = _CORPUS_FIELDS.get(self.mode)
+        if reads is None:
+            raise InvalidParameterError(f"unknown corpus mode {self.mode!r}")
+        for f in fields(self)[1:]:  # every field after mode
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise InvalidParameterError(f"{self.mode} corpora take no {f.name}")
         if self.mode == "exhaustive":
             _require("max_order", self.max_order, 0)
             if self.max_order > EXHAUSTIVE_MAX_ORDER:
@@ -84,8 +95,6 @@ class CorpusSpec:
                 raise InvalidParameterError("seed must be an integer")
             # A float, so that the label reads p as parse does.
             object.__setattr__(self, "p", float(p))
-        else:
-            raise InvalidParameterError(f"unknown corpus mode {self.mode!r}")
 
     @classmethod
     def exhaustive(cls, max_order: int) -> "CorpusSpec":

@@ -65,6 +65,10 @@ __all__ = [
 # seeds again and again.
 _SEED_MEMO_SIZE = 128
 
+# Members ``certify`` keeps: many patterns share a seed, and a ``Graph`` is
+# immutable, so every report may hold the same member.
+_MEMBER_MEMO_SIZE = 16
+
 
 @functools.lru_cache(maxsize=_SEED_MEMO_SIZE, typed=True)
 def scan_seed(kind: str, index: int, r: int) -> Graph:
@@ -105,6 +109,12 @@ def edit_lower_bound(base_order: int, n: int) -> int:
     _require("base_order", base_order, 1)
     _require("n", n, base_order)
     return (n // base_order) ** 2
+
+
+@functools.lru_cache(maxsize=_MEMBER_MEMO_SIZE, typed=True)
+def _member(seed: Graph, n: int) -> Graph:
+    """``balanced_blow_up(seed, n)``, built once per (seed, n)."""
+    return balanced_blow_up(seed, n)
 
 
 def witness_base(result: DeltaResult) -> tuple[Graph, Graph]:
@@ -152,7 +162,7 @@ def certify(h: Graph, result: DeltaResult, n: int) -> CertificationReport:
     if not result.validate(h):
         raise InvalidParameterError("result does not match the supplied graph")
     seed, base = witness_base(result)
-    member = balanced_blow_up(seed, n)
+    member = _member(seed, n)
     target_value = result.value if result.value is not None else result.lower
 
     hom = has_homomorphism(h, base)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +287,23 @@ class TestUsage:
         assert main(["chromatic", str(deep)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: invalid JSON: nested too deeply (at byte 0)"
+
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self, tmp_path):
+        # A reader that stops early, like `| head -c 20`. The member's JSON
+        # is about 240 kB, more than a pipe holds, so the command is still
+        # writing when the pipe closes.
+        f = write_graph(tmp_path, "w5.g6", gallery_graph("W5"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = ["witness", f, "--n", "300", "--out-format", "json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "degstab.cli", *command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""

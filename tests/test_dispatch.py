@@ -3,6 +3,7 @@ extension: a stub ``degstab._fastcore`` records its calls, and the pure
 kernels are replaced by recorders so order-65 inputs cost nothing."""
 
 import importlib
+import random
 import sys
 import types
 
@@ -11,7 +12,19 @@ import pytest
 import degstab
 from degstab import _purecore, backend, verify
 from degstab.backend import backend_name
-from degstab.graphs import Graph, Weighting, blow_up, complete, cycle, cycle_complement, join, wheel
+from degstab.classify import classify, scan_target
+from degstab.gallery import gallery_graph
+from degstab.graphs import (
+    Graph,
+    Weighting,
+    blow_up,
+    complete,
+    cycle,
+    cycle_complement,
+    is_bipartite,
+    join,
+    wheel,
+)
 from degstab.hom import (
     brute_force_homomorphism_exists,
     chromatic_number,
@@ -19,6 +32,7 @@ from degstab.hom import (
     find_coloring,
     homomorphism_search,
 )
+from degstab.witness import certify
 
 from tests.oracles import mycielskian
 
@@ -187,6 +201,7 @@ def test_result_does_not_depend_on_the_target_memo():
     # M_1(C_7) -> C7bar does not exist, and symmetry cuts its search.
     p, t = mycielskian(cycle(7), 1).adj, cycle_complement(7).adj
     backend.prepared.cache_clear()
+    backend._recent.cache_clear()  # so that the call searches
     cold = backend.hom_search(p, t)
     assert backend.hom_search(p, t) == cold
     assert cold[0] is None and 0 < cold[1] < _purecore.hom_search(p, t)[1]
@@ -206,4 +221,141 @@ def test_result_does_not_depend_on_the_target_memo():
     assert warm[0] == warm[1] == (None, cold[1]) and warm[2] == (None, 0)
     for call, expected in zip(calls, warm):
         backend.prepared.cache_clear()
+        backend._recent.cache_clear()
         assert call() == expected
+
+
+# -- recent kernel answers ----------------------------------------------------
+
+
+def _recording(kernels, log, label):
+    """A kernel set that logs each search, then asks ``kernels``."""
+    recording = types.ModuleType(f"recording {label}")
+
+    def hom_search(p_adj, t_adj, minima):
+        log.append((label, "hom_search", p_adj, t_adj))
+        return kernels.hom_search(p_adj, t_adj, minima)
+
+    def color_search(adj, k):
+        log.append((label, "color_search", adj, k))
+        return kernels.color_search(adj, k)
+
+    recording.hom_search = hom_search
+    recording.color_search = color_search
+    recording.odd_girth = kernels.odd_girth
+    return recording
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The log of every search that reaches the pure kernels, from an empty
+    memo on."""
+    log = []
+    recording = _recording(_purecore, log, "pure")
+    monkeypatch.setattr(backend, "_kernels", lambda *graphs: recording)
+    backend._recent.cache_clear()
+    return log
+
+
+def test_certify_asks_no_kernel_what_classify_just_answered(searches):
+    h = gallery_graph("W9")
+    result = classify(h)
+    certify(h, result, 60)
+    certify(h, result, 200)
+    failing = scan_target("gallery-join", result.index, result.r)
+    # Check (a) repeats classify's failing search, and each validate
+    # repeats chromatic_number's last colour refutation.
+    assert searches.count(("pure", "hom_search", h.adj, failing.adj)) == 1
+    assert searches.count(("pure", "color_search", h.adj, result.r)) == 1
+    assert len(searches) == len(set(searches)) == 7
+
+
+def test_the_memo_keeps_the_16_answers_asked_for_last(searches):
+    assert backend._RECENT_SIZE == 16
+    rows = [cycle(n).adj for n in range(3, 23)]
+    for adj in rows:
+        backend.color_search(adj, 2)
+    assert backend._recent.cache_info().currsize == 16 and len(searches) == 20
+    searches.clear()
+    # rows[4] is now the least recently asked for; asking makes it the most.
+    backend.color_search(rows[4], 2)
+    assert searches == []
+    backend.color_search(rows[0], 2)  # drops rows[5]
+    backend.color_search(rows[4], 2)
+    backend.color_search(rows[5], 2)
+    assert searches == [("pure", "color_search", rows[i], 2) for i in (0, 5)]
+    assert backend._recent.cache_info().currsize == 16
+
+
+
+def test_the_memo_tells_k_3_from_k_3_0(searches):
+    # The compiled kernels reject a float k; the memo must not answer it.
+    adj = cycle(5).adj
+    backend.color_search(adj, 3)
+    backend.color_search(adj, 3.0)
+    assert [type(entry[3]) for entry in searches] == [int, float]
+
+def _certify_random_patterns():
+    """The 60 G(14, 1/2) patterns of the certify-random benchmark workload:
+    each pair drawn with probability 1/2 from seed 2021, the graph redrawn
+    while bipartite."""
+    rng = random.Random(2021)
+    patterns = []
+    while len(patterns) < 60:
+        adj = [0] * 14
+        for j in range(14):
+            for i in range(j):
+                if rng.random() < 0.5:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        g = Graph(14, adj)
+        if not is_bipartite(g):
+            patterns.append(g)
+    return patterns
+
+
+def test_an_answer_from_the_memo_is_the_kernels_answer(monkeypatch):
+    asked = []
+    for name in ("hom_search", "color_search"):
+        real = getattr(backend, name)
+
+        def logged(*args, real=real):
+            answer = real(*args)
+            asked.append((real, args, answer))
+            return answer
+
+        monkeypatch.setattr(backend, name, logged)
+    backend._recent.cache_clear()
+    for h in _certify_random_patterns():
+        result = classify(h)
+        for n in (60, 200):
+            assert certify(h, result, n).passed
+    # The memo is full, and the pass asks many questions again.
+    assert backend._recent.cache_info().currsize == 16
+    assert len(asked) - len({(real, args) for real, args, _ in asked}) > 200
+    for real, args, answer in asked:
+        backend._recent.cache_clear()
+        assert real(*args) == answer
+
+
+def test_a_pure_answer_is_never_served_to_the_compiled_kernels(fastcore, monkeypatch):
+    log = []
+    compiled = _recording(fastcore, log, "compiled")
+    real = types.SimpleNamespace(**{name: getattr(_purecore, name) for name in KERNELS})
+    pure = _recording(real, log, "pure")
+    for name in ("hom_search", "color_search"):
+        monkeypatch.setattr(_purecore, name, getattr(pure, name))
+    p, t = cycle(9).adj, cycle(7).adj
+    backend._recent.cache_clear()
+    answers = []
+    for route in (compiled, None, compiled, None):
+        monkeypatch.setattr(backend, "_fastcore", route)
+        answers.append((backend.hom_search(p, t), backend.color_search(p, 3)))
+    # Each kernel set answers once, and then from its own entries.
+    assert [entry[:2] for entry in log] == [
+        ("compiled", "hom_search"),
+        ("compiled", "color_search"),
+        ("pure", "hom_search"),
+        ("pure", "color_search"),
+    ]
+    assert answers.count(answers[0]) == 4 and answers[0][0][0] is not None

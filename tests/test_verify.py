@@ -82,7 +82,14 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "spec",
-        [CorpusSpec.random(3, 4, 1, 5), CorpusSpec.random(3, 4, 0, -1), CorpusSpec.exhaustive(2)],
+        [
+            CorpusSpec.random(3, 4, 1, 5),
+            CorpusSpec.random(3, 4, 0, -1),
+            CorpusSpec.exhaustive(2),
+            # Fields the mode does not read may be given at their defaults.
+            CorpusSpec("exhaustive", max_order=3, count=0, order=0, p=0.0, seed=0),
+            CorpusSpec("random", count=2, order=5, p=0.5, seed=3, max_order=0),
+        ],
     )
     def test_label_round_trips(self, spec):
         assert CorpusSpec.parse(spec.label()) == spec
@@ -97,6 +104,12 @@ class TestCorpus:
             (dict(mode="random", count=3, order=4, p=2.0), "edge probability p"),
             (dict(mode="random", count=3, order=4, p=0.5, seed=1.0), "seed must be an integer"),
             (dict(mode="bogus"), "unknown corpus mode 'bogus'"),
+            # One label, one spec: exhaustive:3 does not name this one.
+            (dict(mode="exhaustive", max_order=3, count=5, p=0.5), "exhaustive .* no count"),
+            (dict(mode="exhaustive", max_order=3, p=0.5), "exhaustive corpora take no p"),
+            (dict(mode="exhaustive", max_order=3, order=4), "exhaustive corpora take no order"),
+            (dict(mode="exhaustive", max_order=3, seed=7), "exhaustive corpora take no seed"),
+            (dict(mode="random", count=3, order=4, p=0.5, max_order=2), "random .* no max_order"),
         ],
     )
     def test_direct_construction_is_checked(self, fields, message):

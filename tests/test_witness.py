@@ -334,6 +334,19 @@ class TestCertify:
         with pytest.raises(InvalidParameterError):
             certify(h, result, 7)  # seed has 8 vertices
 
+    def test_each_member_is_built_once(self, monkeypatch):
+        built = []
+        real = witness.balanced_blow_up
+        monkeypatch.setattr(witness, "balanced_blow_up", lambda g, n: built.append(n) or real(g, n))
+        witness._member.cache_clear()
+        h = gallery_graph("W5")
+        result = classify(h)
+        member = certify(h, result, 60).witness
+        assert member == real(scan_seed("gallery-join", 3, 3), 60)
+        assert certify(h, result, 60).witness is member
+        assert certify(h, result, 61).witness.order == 61
+        assert built == [60, 61]
+
     def test_hom_free_check_can_fail(self, monkeypatch):
         # A search that claims K4 maps into the 5-wheel base must be reported.
         monkeypatch.setattr(witness, "has_homomorphism", lambda g, t: HomWitness((0,) * g.order))
