@@ -33,7 +33,6 @@ from .graphs import (
     is_bipartite,
     join,
     odd_girth,
-    peel_min_degree,
     petersen,
     wheel,
 )

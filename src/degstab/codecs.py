@@ -150,7 +150,7 @@ def _decode_graph6(text: str) -> Graph:
     # column i, a strided slice, those above it.
     square = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
     masks = [int(square[i * n : (i + 1) * n][::-1], 2) | int(square[i::n][::-1], 2) for i in range(n)]
-    return Graph(n, tuple(masks))
+    return Graph._trusted(n, tuple(masks))
 
 
 def _encode_edge_list(g: Graph) -> str:
@@ -251,7 +251,7 @@ def _from_pairs(n: int, pairs) -> Graph:
             raise ParseError(f"duplicate edge {u}-{v}", off_u)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
+    return Graph._trusted(n, tuple(masks))
 
 
 # Each format's short name, which is both its --format value on the command

@@ -9,7 +9,6 @@ is safe; every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import backend
@@ -19,6 +18,13 @@ from .errors import InvalidParameterError
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_mirrors(adj: tuple[int, ...], v: int, nbrs: int) -> None:
+    """Reject the first neighbour u in the mask nbrs whose row lacks v."""
+    for u in _bits(nbrs):
+        if not adj[u] >> v & 1:
+            raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
 
 
 def _require(name: str, value, least: int) -> None:
@@ -35,21 +41,15 @@ def _require(name: str, value, least: int) -> None:
 class Graph:
     """A finite simple undirected graph on vertices 0..order-1.
 
-    ``adj[v]`` has bit ``u`` set iff ``uv`` is an edge. The constructor
-    rejects non-integer input, self-loops, asymmetric adjacency and
-    out-of-range endpoints. It checks one pair of blow-up classes at a
-    time: a run of equal consecutive rows (a class) is checked once,
-    against its neighbours below it, and a run of at least two rows checks
-    each neighbour class below it once, through the lowest member it sees.
-    Every entry below the diagonal then has its mirror, so the adjacency
-    is symmetric iff it has as many entries above the diagonal as below.
-
-    Faults are reported one run at a time, in row order: a non-integer
-    row as soon as it is read (a bool row once its run is read), then an
-    out-of-range neighbour, a self-loop or a neighbour below the run whose
-    row does not cover the run. A neighbour above a row without its mirror
-    is reported only when no row has any of these faults, as the first
-    such pair row by row.
+    ``adj[v]`` has bit ``u`` set iff ``uv`` is an edge. A graph is checked
+    where it comes in. ``Graph(order, adj)`` stores any sequence of masks as
+    a tuple and checks the definition: row by row, an integer with no
+    neighbour out of range, no self-loop and the mirror of every neighbour
+    below it, then, in a second pass, the mirror of every neighbour above
+    each row; the first fault in that order is the one reported. The
+    package's constructors and decoders check their own input instead and
+    call ``Graph._trusted``, which checks nothing: its ``adj`` must be a
+    tuple of ``order`` rows that is symmetric, loop-free and in range.
     """
 
     order: int
@@ -62,67 +62,33 @@ class Graph:
         if order < 0:
             raise InvalidParameterError("order must be nonnegative")
         adj = self.adj
-        try:
-            if type(adj) is not tuple:
+        if type(adj) is not tuple:
+            try:
                 adj = tuple(adj)
-                object.__setattr__(self, "adj", adj)
-            if len(adj) != order:
-                raise InvalidParameterError("adjacency length must equal order")
-            starts = 0  # bit s set iff a run of equal rows begins at row s
-            excess = 0  # entries above the diagonal minus those below it
-            v = 0
-            while v < order:
-                mask = adj[v]
-                if mask >> order:  # a negative mask shifts to -1
-                    raise InvalidParameterError(f"vertex {v} has a neighbour out of range")
-                # Rows v..end-1 equal mask (xor also rejects a non-int row), so
-                # uv and vu are edges for all of them iff adj[u] covers the run.
-                end = v + 1
-                while end < order and not adj[end] ^ mask:
-                    end += 1
-                # A bool passes the shift and the xor, and equals 0 or 1, so
-                # it can only start or join a run of one of those masks.
-                if mask < 2 and bool in map(type, adj[v:end]):
-                    raise TypeError
-                low = 1 << v
-                run = (1 << end) - low
-                if mask & run:
-                    v = (mask & run).bit_length() - 1
-                    raise InvalidParameterError(f"vertex {v} has a self-loop")
-                starts |= low
-                rest = mask & (low - 1)
-                excess += (end - v) * (mask.bit_count() - 2 * rest.bit_count())
-                # A run of two or more rows is most likely a blow-up class,
-                # whose neighbours come in runs too: skip the rest of each
-                # neighbour's run, which has its row. Short runs, as in small
-                # graphs, are cheaper to step through bit by bit.
-                jump = end - v > 1
-                while rest:
-                    bit = rest & -rest
-                    u = bit.bit_length() - 1
-                    if adj[u] & run != run:
-                        v = (run & ~adj[u]).bit_length() - 1
-                        raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
-                    if jump:
-                        above = starts & -(bit << 1)
-                        rest &= -(above & -above)
-                    else:
-                        rest ^= bit
-                v = end
-        except TypeError:
-            raise InvalidParameterError("adjacency must be a sequence of integer masks") from None
-        if excess:
-            # Some entry above the diagonal has no mirror below it: find the
-            # first, one neighbour run above each row at a time.
-            for v, mask in enumerate(adj):
-                rest = mask & -(2 << v)
-                while rest:
-                    bit = rest & -rest
-                    u = bit.bit_length() - 1
-                    if not (adj[u] >> v) & 1:
-                        raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
-                    above = starts & -(bit << 1)
-                    rest &= -(above & -above)
+            except TypeError:
+                raise InvalidParameterError("adjacency must be a sequence of integer masks") from None
+            object.__setattr__(self, "adj", adj)
+        if len(adj) != order:
+            raise InvalidParameterError("adjacency length must equal order")
+        for v, mask in enumerate(adj):
+            if not _is_int(mask):
+                raise InvalidParameterError("adjacency must be a sequence of integer masks")
+            if mask >> order:  # a negative mask shifts to -1
+                raise InvalidParameterError(f"vertex {v} has a neighbour out of range")
+            if mask >> v & 1:
+                raise InvalidParameterError(f"vertex {v} has a self-loop")
+            _require_mirrors(adj, v, mask & ((1 << v) - 1))
+        for v, mask in enumerate(adj):
+            _require_mirrors(adj, v, mask & -(2 << v))
+
+    @classmethod
+    def _trusted(cls, order: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph on ``adj``, unchecked: for the package's constructors,
+        whose ``adj`` is a symmetric, loop-free, in-range tuple."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -137,7 +103,7 @@ class Graph:
                 raise InvalidParameterError(f"self-loop at {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return cls(order, tuple(masks))
+        return cls._trusted(order, tuple(masks))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -170,7 +136,7 @@ class Graph:
     def complement(self) -> "Graph":
         """The graph whose edges are exactly the non-edges of this one."""
         full = (1 << self.order) - 1
-        return Graph(
+        return Graph._trusted(
             self.order,
             tuple([full & ~m & ~(1 << v) for v, m in enumerate(self.adj)]),
         )
@@ -181,7 +147,7 @@ class Graph:
         for v in vertices:
             self._check_vertex(v)
         keep = sorted(set(vertices))
-        return Graph(len(keep), backend._induced(self.adj, keep))
+        return Graph._trusted(len(keep), backend._induced(self.adj, keep))
 
     def _check_vertex(self, v: int) -> None:
         if not _is_int(v):
@@ -220,14 +186,14 @@ class Weighting:
 
 def empty_graph(n: int) -> Graph:
     _require("n", n, 0)
-    return Graph(n, (0,) * n)
+    return Graph._trusted(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     """The clique on n vertices; n = 0 gives the empty graph."""
     _require("n", n, 0)
     full = (1 << n) - 1
-    return Graph(n, tuple([full & ~(1 << v) for v in range(n)]))
+    return Graph._trusted(n, tuple([full & ~(1 << v) for v in range(n)]))
 
 
 def cycle(n: int) -> Graph:
@@ -263,7 +229,7 @@ def join(g: Graph, h: Graph) -> Graph:
     g_mask = (1 << n) - 1
     masks = [g.adj[v] | h_mask for v in range(n)]
     masks += [(h.adj[v] << n) | g_mask for v in range(m)]
-    return Graph(n + m, tuple(masks))
+    return Graph._trusted(n + m, tuple(masks))
 
 
 def blow_up(w: Weighting) -> Graph:
@@ -285,7 +251,7 @@ def blow_up(w: Weighting) -> Graph:
         for u in _bits(base.adj[v]):
             m |= class_mask[u]
         masks.extend([m] * w.weights[v])
-    return Graph(total, tuple(masks))
+    return Graph._trusted(total, tuple(masks))
 
 
 def balanced_blow_up(base: Graph, n: int) -> Graph:
@@ -325,33 +291,3 @@ def degree_profile(g: Graph) -> DegreeProfile:
     lo, hi = min(degs), max(degs)
     return DegreeProfile(lo, hi, lo == hi)
 
-
-def peel_min_degree(g: Graph, threshold) -> Graph:
-    """Repeatedly delete low-degree vertices until the rest are dense enough.
-
-    The cutoff is fixed at threshold * (original order); vertices of degree
-    strictly below it are removed, lowest index first, until none remain.
-    With a fixed cutoff the surviving vertex set does not depend on the
-    removal order. The result is the induced subgraph on the survivors
-    (relabelled densely) and may be empty. Comparisons are exact rational
-    arithmetic, never floating point.
-    """
-    try:
-        t = Fraction(threshold)
-        if not 0 <= t <= 1:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):  # e.g. None, "x", nan, inf
-        raise InvalidParameterError(
-            "peel_min_degree: threshold must be a number in [0, 1]"
-        ) from None
-    cutoff = t * g.order
-    alive = (1 << g.order) - 1
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.order):
-            if (alive >> v) & 1 and (g.adj[v] & alive).bit_count() < cutoff:
-                alive &= ~(1 << v)
-                changed = True
-                break
-    return g.induced([v for v in range(g.order) if (alive >> v) & 1])

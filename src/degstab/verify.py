@@ -130,14 +130,14 @@ class CorpusSpec:
             # n is every s, ascending, over every order n - 1 graph in turn.
             # Only the previous order is kept, and the last is not stored.
             previous = [()]
-            yield Graph(0, ())
+            yield Graph._trusted(0, ())
             for n in range(1, self.max_order + 1):
                 grown = []
                 for s in range(1 << (n - 1)):
                     col = [(s >> i & 1) << (n - 1) for i in range(n - 1)]
                     for base in previous:
                         adj = (*[b | c for b, c in zip(base, col)], s)
-                        yield Graph(n, adj)
+                        yield Graph._trusted(n, adj)
                         if n < self.max_order:
                             grown.append(adj)
                 previous = grown
@@ -151,7 +151,7 @@ class CorpusSpec:
                     if rng.random() < self.p:
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
-                yield Graph(n, tuple(adj))
+                yield Graph._trusted(n, tuple(adj))
 
     def __iter__(self) -> Iterator[Graph]:
         # So checks take a CorpusSpec and a plain list of graphs alike.

@@ -272,6 +272,14 @@ def valid_adjacency(order, adj) -> bool:
     return True
 
 
+def assert_checked(g: Graph) -> None:
+    """g, however the package built it, is exactly the graph that the
+    checked constructor ``Graph(order, adj)`` makes of its rows."""
+    assert type(g.adj) is tuple
+    checked = Graph(g.order, g.adj)
+    assert checked == g and hash(checked) == hash(g)
+
+
 def mycielskian(base: Graph, k: int) -> Graph:
     """Generalized Mycielskian M_k(base), labelled layer by layer.
 

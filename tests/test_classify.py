@@ -32,7 +32,7 @@ from degstab.errors import (
     ParseError,
     UndefinedThresholdError,
 )
-from degstab.classify import _steps, scan_target
+from degstab.classify import CertificateEntry, _steps, scan_target
 from degstab.gallery import gallery_graph
 from tests import oracles
 
@@ -418,6 +418,13 @@ class TestCertificateCompleteness:
         # pattern maps, so no true result fails there. C5 fails at g = 3.
         forged = DeltaResult(2, "odd-cycle", 1, Fraction(2, 3), None, None, (), 0)
         assert not forged.validate(cycle(5))
+
+    def test_r_one_too_large_rejected(self):
+        # K4 is 4-colourable, so a result at r = 4 is false, though its one
+        # witness maps K4 into the first target at r = 4, K1 joined to K4.
+        entry = CertificateEntry("gallery-join", 1, HomWitness((0, 1, 2, 3)))
+        forged = DeltaResult(4, "gallery", 2, degree_threshold(4, 1), None, None, (entry,), 0)
+        assert not forged.validate(complete(4))
 
     def test_wrong_threshold_rejected(self):
         h = complete(4)

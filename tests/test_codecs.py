@@ -241,7 +241,10 @@ class TestRoundTrips:
             order = rng.randint(0, 32)
             g = oracles.random_graph(rng, order, rng.random())
             for fmt in FORMATS:
-                assert decode(encode(g, fmt), fmt) == g, (trial, fmt)
+                decoded = decode(encode(g, fmt), fmt)
+                assert decoded == g, (trial, fmt)
+                # Decoders skip Graph's check, so each must pass it.
+                oracles.assert_checked(decoded)
 
     @settings(max_examples=200, deadline=None)
     @given(

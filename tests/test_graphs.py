@@ -17,7 +17,6 @@ from degstab import (
     is_bipartite,
     join,
     odd_girth,
-    peel_min_degree,
     petersen,
     wheel,
 )
@@ -190,6 +189,7 @@ class TestConstructorAgainstOracle:
     def test_blow_up_mutants(self, r, n):
         for j in range(1, 13):
             g = balanced_blow_up(scan_seed("gallery-join", j, r), n)
+            oracles.assert_checked(g)
             adj = g.adj
             _agrees_with_oracle(n, adj)
             starts = [v for v in range(n) if v == 0 or adj[v] != adj[v - 1]]
@@ -223,7 +223,7 @@ class TestConstructorAgainstOracle:
                     _agrees_with_oracle(n, mutant)
 
     @pytest.mark.parametrize("r", [3, 4])
-    @pytest.mark.parametrize("n", [60, 200, 2000])
+    @pytest.mark.parametrize("n", [60, 200])
     def test_blow_up_neighbour_class_cuts(self, r, n):
         # A row of one class loses an inner or the last member of a
         # neighbour class, so that class is no longer covered whole: with
@@ -245,13 +245,18 @@ class TestConstructorAgainstOracle:
                         assert str(info.value) == f"edge {w}-{x} is not symmetric"
                         mirrored = _flip(cut, w, x)
                         assert Graph(n, mirrored).adj == mirrored
-                        if n <= 200:
-                            _agrees_with_oracle(n, cut)
-                            _agrees_with_oracle(n, mirrored)
+                        _agrees_with_oracle(n, cut)
+                        _agrees_with_oracle(n, mirrored)
 
-    @pytest.mark.parametrize("corpus", ["exhaustive:4", "random:40,9,0.5,9"])
+    @pytest.mark.parametrize(
+        "corpus", ["exhaustive:4", "exhaustive:5", "random:40,9,0.5,9", "random:20,12,0.3,2"]
+    )
     def test_every_one_bit_mutant(self, corpus):
         for g in CorpusSpec.parse(corpus).graphs():
+            # The corpus, its complements and induced subgraphs skip the
+            # check, so each must be what the checked constructor makes.
+            for built in (g, g.complement(), g.induced(range(0, g.order, 2))):
+                oracles.assert_checked(built)
             _agrees_with_oracle(g.order, g.adj)
             for v in range(g.order):
                 for bit in range(g.order + 1):  # the first out-of-range bit too
@@ -476,48 +481,6 @@ class TestDegreeProfile:
         base = join(complete(1), cycle(5))
         g = blow_up(Weighting(base, (3, 1, 1, 1, 1, 1)))
         assert (g.order,) + tuple(degree_profile(g)) == (8, 5, 5, True)
-
-
-class TestPeel:
-    def test_dense_graph_unchanged(self):
-        assert peel_min_degree(complete(4), Fraction(1, 2)) == complete(4)
-
-    def test_zero_threshold_is_identity(self):
-        g = petersen()
-        assert peel_min_degree(g, 0) == g
-
-    def test_star_cascades_to_empty(self):
-        # Cutoff is 3 throughout: the five leaves fall one by one, then the
-        # hub has degree 0 and falls too.
-        star = Graph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
-        assert peel_min_degree(star, Fraction(1, 2)) == empty_graph(0)
-
-    def test_path_cascades_to_empty(self):
-        # Cutoff 1.5: endpoint falls, then the remaining edge's degrees are
-        # both 1, still below the original cutoff.
-        path = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert peel_min_degree(path, Fraction(1, 2)) == empty_graph(0)
-
-    def test_survivors_meet_cutoff(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            g = oracles.random_graph(rng, rng.randint(0, 9), 0.5)
-            t = Fraction(rng.randint(0, 4), 4)
-            peeled = peel_min_degree(g, t)
-            cutoff = t * g.order
-            for v in range(peeled.order):
-                assert peeled.degree(v) >= cutoff
-
-    def test_threshold_validation(self):
-        with pytest.raises(InvalidParameterError):
-            peel_min_degree(complete(3), Fraction(3, 2))
-        with pytest.raises(InvalidParameterError):
-            peel_min_degree(complete(3), -1)
-
-    @pytest.mark.parametrize("threshold", ["x", float("nan"), float("inf"), None])
-    def test_non_numeric_threshold_rejected(self, threshold):
-        with pytest.raises(InvalidParameterError, match="threshold must be a number"):
-            peel_min_degree(complete(3), threshold)
 
 
 # Every public entry point that takes an integer count, order or index, as

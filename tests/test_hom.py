@@ -72,6 +72,11 @@ class TestHomomorphism:
         assert HomWitness((0, 1, 2)).is_valid(complete(3), complete(4))
         assert not HomWitness((0, bad, 2)).is_valid(complete(3), complete(4))
 
+    def test_witness_wrong_only_on_the_first_edge_is_invalid(self):
+        # 0 and 1 both go to 0, so the edge (0, 1) has no image; the edges
+        # (0, 2) and (1, 2) both land on the edge (0, 1).
+        assert not HomWitness((0, 0, 1)).is_valid(complete(3), complete(3))
+
     def test_c7_into_c5(self):
         # derived by full enumeration before trusting the solver
         assert oracles.hom_exists(cycle(7), cycle(5)) is True

@@ -202,6 +202,10 @@ def test_odd_cycle_seed_bytes(g):
     assert oracles.graph6(scan_target("odd-cycle", g, 2)) == ODD_CYCLE_SEEDS[g]
     seed = balanced_blow_up(scan_seed("odd-cycle", g, 2), 2 * g + 1)
     assert oracles.graph6(seed) == ODD_CYCLE_SEEDS[g]
+    # Seeds and targets skip Graph's check, so each must pass it; r >= 3 is
+    # in test_witness's TestMemos.
+    oracles.assert_checked(scan_seed("odd-cycle", g, 2))
+    oracles.assert_checked(scan_target("cycle-join", g, 2))
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))

@@ -29,6 +29,7 @@ from degstab.errors import InvalidParameterError
 from degstab.gallery import SEQUENCE, WEIGHTED_TAGS, gallery_graph
 from degstab.verify import EDIT_ORACLE_BUDGET, brute_min_edits_to_k_partite
 from degstab.witness import witness_base
+from tests import oracles
 from tests.test_classify import only_cycle_joins
 
 
@@ -166,7 +167,7 @@ class TestWitnessForIndex:
 
 class TestMemos:
     """Scan targets and seeds are built once; what the memo returns is what
-    a fresh build returns."""
+    a fresh build returns, and what Graph's check accepts."""
 
     MEMOS = (scan_target, scan_seed)
 
@@ -179,6 +180,7 @@ class TestMemos:
             for kind, last in (("odd-cycle", 8), ("gallery-join", 12), ("cycle-join", 8)):
                 for j in range(1, last + 1):
                     target = scan_target(kind, j, r)
+                    oracles.assert_checked(target)
                     assert target == scan_target.__wrapped__(kind, j, r)
                     assert scan_target(kind, j, r) is target
 
@@ -187,6 +189,7 @@ class TestMemos:
             for kind, last in (("odd-cycle", 8), ("gallery-join", 12), ("cycle-join", 8)):
                 for j in range(1, last + 1):
                     seed = scan_seed(kind, j, r)
+                    oracles.assert_checked(seed)
                     assert seed == scan_seed.__wrapped__(kind, j, r)
                     assert scan_seed(kind, j, r) is seed
 
@@ -343,6 +346,7 @@ class TestCertify:
         result = classify(h)
         member = certify(h, result, 60).witness
         assert member == real(scan_seed("gallery-join", 3, 3), 60)
+        oracles.assert_checked(member)
         assert certify(h, result, 60).witness is member
         assert certify(h, result, 61).witness.order == 61
         assert built == [60, 61]
