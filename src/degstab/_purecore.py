@@ -11,11 +11,20 @@ All functions take adjacency as a sequence of integer bitmasks, one per
 vertex (bit ``u`` of ``adj[v]`` is set iff ``uv`` is an edge). The adjacency
 must be symmetric and loop-free, as :class:`degstab.graphs.Graph` guarantees:
 ``hom_search`` and ``odd_girth`` work on whole vertex masks and rely on it.
-The functions are pure and place no upper bound on the order; the compiled
-twin handles orders up to 64.
+Their results depend on their arguments only, and they place no upper
+bound on the order; the compiled twin handles orders up to 64.
+
+``hom_search`` keeps two tables between calls, each bounded by a constant:
+the target neighbourhood of every domain mask met, for the last 16
+targets, and the neighbour positions of the last 1024 pattern masks. It
+also does no work at a level that cannot change a domain. Both are exact,
+for the reasons its docstring gives, and no answer or node count depends
+on what the tables hold.
 """
 
 from __future__ import annotations
+
+import functools
 
 __all__ = ["hom_search", "color_search", "odd_girth"]
 
@@ -24,6 +33,11 @@ __all__ = ["hom_search", "color_search", "odd_girth"]
 # node that the failed first value took.
 PROBE_ORDER = 15
 PROBE_BUDGET = 2
+
+# Bounds of the tables hom_search keeps between calls (see there).
+TARGET_TABLES = 16
+UNION_TABLE_SIZE = 1024
+POSITIONS_MEMO_SIZE = 1024
 
 
 def hom_search(p_adj, t_adj, minima=None):
@@ -36,6 +50,30 @@ def hom_search(p_adj, t_adj, minima=None):
     Backtracking with arc-consistency propagation after every assignment.
     Variable order: smallest live domain, lowest index on ties. Value
     order: ascending. Fully deterministic.
+
+    Kept tables: propagation reads N(D), the union of the target's
+    neighbourhoods over a domain mask D, from a table kept for each of the
+    last ``TARGET_TABLES`` (16) target tuples and filled as masks come up,
+    so a target's unions are computed once, not once per search. A search
+    that leaves its table with more than ``UNION_TABLE_SIZE`` (1024) masks
+    empties it, so between searches the tables hold at most 16 times that.
+    The neighbour positions of each pattern vertex come from a memo of the
+    last ``POSITIONS_MEMO_SIZE`` (1024) masks, shared tuples that no search
+    changes. Every entry is a function of its key alone, so no answer or
+    node count depends on what the tables hold.
+
+    Levels that change nothing: ``_propagate`` leaves the domains arc
+    consistent, every value of a vertex with a neighbour in the domain of
+    each of its pattern neighbours. Full domains already are when N(full)
+    is full, when the target has no isolated vertex, so the first
+    propagation is skipped then. Every live domain has a value, so a
+    one-value domain is the smallest, and the first of them in index
+    order is the one the variable order picks: the choice stops there.
+    Assigning that value changes no domain, and propagating it removes
+    nothing from arc-consistent domains, so such a forced level counts its
+    node and goes down with the same domains, without a copy or a
+    propagation. With no second value, it never probes or asks for the
+    minima below; a forced root hands ``minima`` down as any root does.
 
     Probing: a node below the root whose first value has failed, with
     values left, may narrow the domains to their singleton-arc-consistency
@@ -77,26 +115,20 @@ def hom_search(p_adj, t_adj, minima=None):
     """
     n_p = len(p_adj)
     n_t = len(t_adj)
-    # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
-    # small length for reuse, and these short-lived ones would fill that.
-    p_nbrs = []
-    for m in p_adj:
-        nbrs = []
-        while m:
-            bit = m & -m
-            m ^= bit
-            nbrs.append(bit.bit_length() - 1)
-        p_nbrs.append(nbrs)
-    # Target neighbourhood of each domain mask seen in this search.
-    union = {}
-    dom = [(1 << n_t) - 1] * n_p
-    if not _propagate(dom, p_nbrs, t_adj, union, (1 << n_p) - 1):
-        return None, 0
+    # Tuples shared by every search with the same mask; none changes them.
+    p_nbrs = [*map(_positions, p_adj)]
+    union = _unions(tuple(t_adj))
+    full = (1 << n_t) - 1
+    dom = [full] * n_p
+    mapping = None
     nodes = [0]
-    probe = n_p >= PROBE_ORDER and not any(
-        p_adj[u] & p_adj[w] for u, nbrs in enumerate(p_nbrs) for w in nbrs
-    )
-    mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes, minima, probe)
+    if union.get(full) == full or _propagate(dom, p_nbrs, t_adj, union, (1 << n_p) - 1):
+        probe = n_p >= PROBE_ORDER and not any(
+            p_adj[u] & p_adj[w] for u, nbrs in enumerate(p_nbrs) for w in nbrs
+        )
+        mapping = _assign(dom, p_nbrs, t_adj, union, 0, nodes, minima, probe)
+    if len(union) > UNION_TABLE_SIZE:
+        union.clear()
     return mapping, nodes[0]
 
 
@@ -107,6 +139,19 @@ def _bits(mask):
         bit = mask & -mask
         mask ^= bit
         yield bit.bit_length() - 1
+
+
+@functools.lru_cache(maxsize=POSITIONS_MEMO_SIZE)
+def _positions(mask):
+    """``tuple(_bits(mask))``, kept for the pattern masks seen lately."""
+    return tuple(_bits(mask))
+
+
+@functools.lru_cache(maxsize=TARGET_TABLES)
+def _unions(t_adj):
+    """The target's table N: domain mask D to the union of ``t_adj`` over
+    D, filled in by ``_propagate`` as masks come up (see hom_search)."""
+    return {}
 
 
 def _propagate(dom, p_nbrs, t_adj, union, dirty):
@@ -153,9 +198,15 @@ def _assign(dom, p_nbrs, t_adj, union, assigned, nodes, minima, probe):
         if size < best_size:
             best_size = size
             best_v = v
+            if size == 1:
+                break
     v = best_v
-    vals = dom[v]
     below = None if assigned else minima
+    if best_size == 1:
+        # A forced level: its value is already assigned and propagated.
+        nodes[0] += 1
+        return _assign(dom, p_nbrs, t_adj, union, assigned | (1 << v), nodes, below, probe)
+    vals = dom[v]
     start = nodes[0]
     first = True
     while vals:

@@ -37,12 +37,15 @@ kernel sets compute the same closure, so they still agree node for node.
 
 What the package knows about one adjacency sits in one record,
 ``prepared(adj)``, kept in one bounded memo: its twin reduction, greedy
-clique size, exact clique number and orbit minima, each computed the first
-time it is needed. ``hom`` reads the reductions of both sides of a search
-from their records, and ``hom_search`` reads the pattern's greedy clique
-size and the target's other facts. A reduced adjacency is its own
-reduction, so a twin-free graph has one record. A call's result and node
-count depend on its arguments only, never on what the memo holds.
+clique size, exact clique number and orbit minima. None is computed before
+it is first read; the first three are then kept as plain attributes, so a
+later read is an attribute lookup, and the minima in a dict by fixed mask.
+``hom`` reads the reductions of both sides of a search from their records,
+and ``hom_search`` reads the pattern's greedy clique size and the target's
+other facts. A reduced adjacency is its own reduction, so a twin-free
+graph has one record. A call's result and node count depend on its
+arguments only, never on what the memo holds, nor on the tables the pure
+``hom_search`` keeps (see ``_purecore``).
 
 The last ``_RECENT_SIZE`` (16) answers of ``color_search`` and of the
 ``hom_search`` calls that get past the clique bound are kept in one memo,
@@ -374,27 +377,30 @@ def _induced(adj, kept: list[int]) -> tuple[int, ...]:
 
 
 class _Prepared:
-    """What the package knows about one adjacency, each fact computed the
-    first time it is asked for: ``reduction``, the tuples of
-    :func:`_twin_reduction`; ``greedy``, the size of its greedy clique;
-    ``omega``, its clique number; and ``minima(fixed)``, the kernels'
-    ``minima`` argument."""
+    """What the package knows about one adjacency, each fact computed on
+    its first read: ``reduction``, the tuples of :func:`_twin_reduction`;
+    ``greedy``, the size of its greedy clique; ``omega``, its clique
+    number; and ``minima(fixed)``, the kernels' ``minima`` argument."""
 
     def __init__(self, adj):
         self.adj = adj
         self._minima: dict[int, int] = {}
 
-    @functools.cached_property
-    def reduction(self):
-        return _twin_reduction(self.adj)
-
-    @functools.cached_property
-    def greedy(self) -> int:
-        return greedy_clique(self.adj).bit_count()
-
-    @functools.cached_property
-    def omega(self) -> int:
-        return clique_number(self.adj)
+    def __getattr__(self, name):
+        # Reached only while a fact is missing: it is computed and stored
+        # as a plain attribute, which later reads find without a call.
+        # functools.cached_property would take a lock at each first read on
+        # Python 3.10 and 3.11, and every new adjacency makes two.
+        if name == "reduction":
+            value = _twin_reduction(self.adj)
+        elif name == "greedy":
+            value = greedy_clique(self.adj).bit_count()
+        elif name == "omega":
+            value = clique_number(self.adj)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     def minima(self, fixed: int) -> int:
         """``orbit_minima(adj, fixed)``."""

@@ -48,15 +48,22 @@ class HomWitness:
     mapping: tuple[int, ...]
 
     def is_valid(self, pattern: Graph, target: Graph) -> bool:
-        if len(self.mapping) != pattern.order:
+        mapping = self.mapping
+        if len(mapping) != pattern.order:
             return False
         order = target.order
-        for x in self.mapping:
+        for x in mapping:
             if type(x) is not int or not 0 <= x < order:
                 return False
-        for u, v in pattern.edges():
-            if not (target.adj[self.mapping[u]] >> self.mapping[v]) & 1:
-                return False
+        t_adj = target.adj
+        for u, nbrs in enumerate(pattern.adj):
+            row = t_adj[mapping[u]]
+            nbrs &= -(2 << u)  # the edges to neighbours above u
+            while nbrs:
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                if not row >> mapping[bit.bit_length() - 1] & 1:
+                    return False
         return True
 
 

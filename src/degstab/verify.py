@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import or_
 from typing import Iterator
 
 from . import codecs
@@ -136,7 +137,7 @@ class CorpusSpec:
                 for s in range(1 << (n - 1)):
                     col = [(s >> i & 1) << (n - 1) for i in range(n - 1)]
                     for base in previous:
-                        adj = (*[b | c for b, c in zip(base, col)], s)
+                        adj = (*map(or_, base, col), s)
                         yield Graph._trusted(n, adj)
                         if n < self.max_order:
                             grown.append(adj)
@@ -291,7 +292,7 @@ def check_haggkvist(spec, g: int) -> VerificationReport:
     def probe(graph: Graph):
         if graph.order == 0:
             return None
-        min_deg = min(m.bit_count() for m in graph.adj)
+        min_deg = min(map(int.bit_count, graph.adj))
         if min_deg * (2 * g + 1) <= 2 * graph.order:
             return None
         girth = odd_girth(graph)
@@ -353,7 +354,7 @@ def check_locally_bipartite_claims(a: int, spec) -> VerificationReport:
     def probe(g: Graph):
         if g.order == 0:
             return None
-        min_deg = min(m.bit_count() for m in g.adj)
+        min_deg = min(map(int.bit_count, g.adj))
         if Fraction(min_deg) <= threshold * g.order:
             return None
         ok, _ = is_a_locally_bipartite(g, a)
@@ -390,7 +391,7 @@ def search_hom_free_lower_bound(
     for index, g in enumerate(spec):
         if g.order == 0:
             continue
-        min_deg = min(m.bit_count() for m in g.adj)
+        min_deg = min(map(int.bit_count, g.adj))
         ratio = Fraction(min_deg, g.order)
         if ratio < c:
             continue

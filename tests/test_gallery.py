@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from degstab import (
+    Graph,
     HomWitness,
     blow_up,
     chromatic_number,
@@ -132,6 +133,16 @@ class TestCertificates:
         monkeypatch.setitem(getattr(gallery, table), tag, tuple(entries))
         with pytest.raises(AssertionError, match=f"dual of {tag} does not prove"):
             gallery._certify(tag)
+
+    def test_a_three_chromatic_member_is_rejected(self, monkeypatch):
+        # W5 less the rim edge {0, 1} is 3-colourable: a member below four
+        # colours fails the check, not only one above.
+        w5 = gallery_graph("W5")
+        broken = Graph.from_edges(w5.order, [e for e in w5.edges() if e != (0, 1)])
+        assert chromatic_number(broken) == 3
+        monkeypatch.setitem(gallery._GRAPHS, "W5", broken)
+        with pytest.raises(AssertionError, match="transcription of W5 is not 4-chromatic"):
+            gallery._certify("W5")
 
     def test_a_negative_dual_is_rejected(self, monkeypatch):
         monkeypatch.setitem(gallery._DUALS, "H2plus", (2, 1, 1, 1, 1, 2, 1, -1))

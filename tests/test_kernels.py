@@ -14,11 +14,11 @@ import random
 import pytest
 
 from degstab import _purecore, decode
-from degstab.backend import orbit_minima
-from degstab.classify import scan_target
+from degstab.backend import orbit_minima, prepared
+from degstab.classify import _steps, scan_target
 from degstab.gallery import SEQUENCE, sequence_graph
 from degstab.graphs import Graph, complete, cycle, cycle_complement, join, petersen, wheel
-from degstab.hom import brute_hom
+from degstab.hom import brute_hom, chromatic_number
 from degstab.verify import CorpusSpec
 
 from tests import oracles
@@ -319,8 +319,11 @@ def test_minima_are_not_called_when_the_first_values_succeed(kernels):
 
 def test_hom_search_edge_cases(kernels):
     # The empty pattern maps, by the empty map, without a node; a pattern
-    # vertex with no target vertex to go to cannot. No search here asks
-    # for the target's orbit minima.
+    # vertex with no target vertex to go to cannot. Once a search into the
+    # empty target has put N(empty) = empty in its table, later ones skip
+    # the first propagation. An edgeless pattern into K1 has {0} for every
+    # domain at the root, so each level is forced, one node a vertex. No
+    # search here asks for the target's orbit minima.
     def fail(fixed):
         raise AssertionError(f"minima({fixed}) called")
 
@@ -328,11 +331,79 @@ def test_hom_search_edge_cases(kernels):
         ([], [], ((), 0)),
         ([0], [], (None, 0)),
         ([2, 1], [], (None, 0)),
+        (cycle(5).adj, (), (None, 0)),
         ([], [0], ((), 0)),
         ([0, 0], [0], ((0, 0), 2)),
+        ((0,) * 6, (0,), ((0,) * 6, 6)),
     ]:
-        assert kernels.hom_search(p, t) == want, (p, t)
+        assert kernels.hom_search(p, t) == reference_hom_search(p, t) == want, (p, t)
         assert kernels.hom_search(p, t, fail) == want, (p, t)
+
+
+def test_initial_propagation_runs_when_the_target_has_an_isolated_vertex(kernels):
+    # Target vertex 0 is isolated, so N(full) is not full and the first
+    # propagation takes 0 out of both domains: K2 maps in 2 nodes, where a
+    # search from the full domains would spend a third on 0. The first call
+    # fills the target's table, the second reads it.
+    p = complete(2).adj
+    t = Graph.from_edges(3, [(1, 2)]).adj
+    for _ in range(2):
+        assert kernels.hom_search(p, t) == reference_hom_search(p, t) == ((1, 2), 2)
+
+
+def test_forced_levels_after_a_failed_first_value(kernels):
+    # K3 into the path 1-0-2 beside the triangle 3, 4, 5: the root's values
+    # 0, 1 and 2 fail, 3 leaves {4, 5} to vertices 1 and 2, and once 1 takes
+    # 4 the last level is forced. With the orbit minima {0, 1, 3}, the root
+    # skips 2.
+    p = complete(3).adj
+    t = Graph.from_edges(6, [(0, 1), (0, 2), (3, 4), (3, 5), (4, 5)]).adj
+    assert kernels.hom_search(p, t) == reference_hom_search(p, t) == ((3, 4, 5), 6)
+    calls = []
+    assert kernels.hom_search(p, t, _minima(t, calls)) == ((3, 4, 5), 5)
+    assert calls == [0]
+
+
+def test_forced_levels_match_reference_on_sparse_pairs(kernels):
+    # Sparse patterns, forests half the time, reach many one-value domains
+    # below failed values; every target gets an isolated vertex at a random
+    # place, so its first propagation always runs.
+    rng = random.Random(75)
+    for i in range(300):
+        order = rng.randint(1, 9)
+        p = random_graph(rng, order, rng.uniform(0.1, 0.4))
+        if i % 2:
+            p = Graph.from_edges(order, [(rng.randrange(v), v) for v in range(1, order)])
+        t = list(random_graph(rng, rng.randint(1, 6), rng.uniform(0.3, 0.9)).adj)
+        # Vertices x and above move up one, and x is the isolated vertex.
+        x = rng.randint(0, len(t))
+        low = (1 << x) - 1
+        t = [(m & low) | (m & ~low) << 1 for m in t]
+        t.insert(x, 0)
+        _, plain, _ = _restricted_agrees(kernels, p.adj, t)
+        assert plain == reference_hom_search(p.adj, t)
+
+
+def test_answers_do_not_depend_on_the_kernel_tables(kernels):
+    # G(14, 1/2) patterns, as in the benchmark's certify-random workload,
+    # against every target of their scan: each search gives the same answer
+    # whether _purecore's tables were left warm by every search before it
+    # or cleared just before it, and the same as the kernel set under test.
+    rng = random.Random(74)
+    pairs = []
+    while len(pairs) < 240:
+        h = random_graph(rng, 14, 0.5)
+        if reference_odd_girth(h.adj) == 0:
+            continue
+        r = chromatic_number(h) - 1
+        pairs += [(h.adj, scan_target(kind, index, r).adj) for kind, index in _steps(h, r)]
+    minima = [prepared(t).minima for _, t in pairs]
+    warm = [_purecore.hom_search(p, t, m) for (p, t), m in zip(pairs, minima)]
+    for (p, t), m, got in zip(pairs, minima, warm):
+        _purecore._unions.cache_clear()
+        _purecore._positions.cache_clear()
+        assert _purecore.hom_search(p, t, m) == got
+        assert kernels.hom_search(p, t, m) == got
 
 
 def test_odd_girth_matches_reference_on_random_graphs(kernels):

@@ -286,6 +286,19 @@ class TestProperties:
             for g in range(1, 12)
         ]
 
+    def test_seed_ratio_above_the_table_is_reported(self, monkeypatch):
+        # With the table value at index 5 lowered by 1/1000, the true seed
+        # ratio lies above it: a miss on that side is a violation too.
+        real = verify.degree_threshold
+        low = Fraction(1, 1000)
+        monkeypatch.setattr(
+            verify, "degree_threshold", lambda r, g: real(r, g) - low if g == 5 else real(r, g)
+        )
+        report = check_properties(3)
+        assert [(v.index, v.detail) for v in report.violations] == [
+            (5, f"witness ratio {real(3, 5)} at index 5 misses {real(3, 5) - low}")
+        ]
+
     def test_parameters(self):
         with pytest.raises(InvalidParameterError):
             check_properties(6)

@@ -5,6 +5,7 @@ import pytest
 
 from degstab import (
     DeltaResult,
+    Graph,
     HomWitness,
     Weighting,
     balanced_blow_up,
@@ -372,6 +373,23 @@ class TestCertify:
         assert not check.passed
         assert check.detail == "min degree ratio 2/5 vs threshold 5/8 with slack 1/12"
         assert not report.passed
+
+    def test_degree_ratio_check_fails_by_less_than_one_slack(self, monkeypatch):
+        # K4's member at n = 60 with vertex 0 cut down to 25 neighbours:
+        # 25/60 lies between 5/8 - 2 * slack and 5/8 - slack, slack 8/60,
+        # so the check fails, and would pass with the slack counted twice.
+        h = complete(4)
+        result = classify(h)
+        member = witness._member(witness_base(result)[0], 60)
+        dropped = [v for v in range(60) if member.adj[0] >> v & 1][25:]
+        cut = Graph.from_edges(60, [(u, v) for u, v in member.edges() if u or v not in dropped])
+        assert degree_profile(cut).min_degree == 25
+        slack = Fraction(8, 60)
+        assert Fraction(5, 8) - 2 * slack < Fraction(25, 60) < Fraction(5, 8) - slack
+        monkeypatch.setattr(witness, "_member", lambda seed, n: cut)
+        report = certify(h, result, 60)
+        assert [c.passed for c in report.checks] == [True, False, True]
+        assert report.checks[1].detail == "min degree ratio 5/12 vs threshold 5/8 with slack 2/15"
 
 
 class TestEditBoundCheck:
